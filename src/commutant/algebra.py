@@ -2,9 +2,15 @@
 
 A MatrixAlgebra is an OperatorSubspace that is closed under multiplication,
 tagged with whether it contains the ambient identity and whether it is
-closed under the adjoint.  The relative commutant of a set S inside an
-ambient algebra B is {X in B : XS = SX for every S}, computed as the
-nullspace of the stacked commutator maps restricted to B's coordinates.
+closed under the adjoint.
+
+The relative commutant of a set S inside an ambient algebra B is
+{X in B : XS = SX for every S}.  It is solved in B's coordinates against a
+few random combinations of S, whose nullspace can only be too large, and
+then certified against every element of S; elements that fail join the
+system and it is solved again.  Generated algebras are closed Krylov-style:
+each round multiplies only the directions the last round added by the
+generators.
 """
 
 from __future__ import annotations
@@ -13,18 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, DIM_CAP, InvalidInputError, NumericConfig, ResourceLimitError, StructureError
+from .config import DEFAULT_CONFIG, DIM_CAP, InvalidInputError, NumericConfig, ResourceLimitError
 from .linalg import (
     OperatorSubspace,
     as_matrix,
     hs_norm,
     orthonormalize,
+    rank_svd,
     subspace_contains,
     subspace_equal,
 )
 
-# products per closure round beyond this are refused rather than ground through
+# products per closure check beyond this are refused rather than ground through
 MAX_PRODUCTS_PER_ROUND = 300_000
+# random combinations of the commuted set in the first commutant solve
+_COMMUTANT_PROBES = 3
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,12 @@ def algebra_from_space(
     """Wrap a multiplicatively closed subspace, detecting the structure flags."""
     n = space.ambient_dim
     unital = space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
-    selfadjoint = all(space.residual(B.conj().T) <= cfg.eq_tol for B in space.basis)
-    return MatrixAlgebra(space, unital, selfadjoint)
+    return MatrixAlgebra(space, unital, _adjoint_closed(space, cfg))
+
+
+def _adjoint_closed(space: OperatorSubspace, cfg: NumericConfig) -> bool:
+    adjoints = OperatorSubspace(space.ambient_dim, tuple(B.conj().T for B in space.basis))
+    return subspace_contains(space, adjoints, cfg)
 
 
 def _pairwise_products(basis: tuple) -> np.ndarray:
@@ -112,9 +125,12 @@ def generate_algebra(
     """Smallest algebra containing the generators.
 
     With unital=True the ambient identity is thrown in; with star=True the
-    adjoints are, making the result selfadjoint.  Closure is reached by
-    repeatedly appending all pairwise products of the current basis, which
-    doubles the attainable degree each round.
+    adjoints are, making the result selfadjoint.  Closure is a Krylov
+    iteration: each round multiplies the directions added by the previous
+    round (the frontier) on the right by every generator and keeps what is
+    new.  A span that holds the identity (or the generators) and is closed
+    under right multiplication by each generator holds every word in them,
+    so an empty frontier ends the closure, after at most n^2 rounds.
     """
     gens = [as_matrix(G) for G in generators]
     if not gens:
@@ -122,23 +138,28 @@ def generate_algebra(
     n = gens[0].shape[0]
     if n > dim_cap:
         raise ResourceLimitError(f"ambient dimension {n} exceeds cap {dim_cap}")
-    seed = [as_matrix(G, dim=n) for G in gens]
+    mult = [as_matrix(G, dim=n) for G in gens]
     if star:
-        seed += [G.conj().T for G in gens]
-    if unital:
-        seed.append(np.eye(n, dtype=np.complex128))
-    space = orthonormalize(seed, cfg)
-    for _ in range(64):
-        products = _pairwise_products(space.basis)
-        grown = orthonormalize(list(space.basis) + list(products), cfg)
-        if grown.dim == space.dim:
+        mult += [G.conj().T for G in mult]
+    seed = mult + [np.eye(n, dtype=np.complex128)] if unital else mult
+    Q = orthonormalize(seed, cfg).stack
+    # absolute cut: a product of a unit direction by G is at most ||G|| long,
+    # and scaling by the products' own norms would let J^4 = 0 noise through
+    cut = cfg.rank_tol * max(hs_norm(G) for G in mult)
+    right = np.stack(mult)
+    frontier = Q
+    while frontier.shape[0]:
+        P = np.matmul(frontier.reshape(-1, 1, n, n), right).reshape(-1, n * n)
+        for _ in range(2):
+            P = P - (P @ Q.conj().T) @ Q
+        # sigma_max <= ||P||_F, so a residual below the cut holds nothing new
+        if np.linalg.norm(P) <= cut:
             break
-        space = grown
-    else:
-        raise StructureError("algebra closure did not stabilize")
-    selfadjoint = star or all(
-        space.residual(B.conj().T) <= cfg.eq_tol for B in space.basis
-    )
+        svals, Vh = rank_svd(P)
+        frontier = Vh[: int(np.sum(svals > cut))]
+        Q = np.vstack([Q, frontier])
+    space = OperatorSubspace(n, tuple(Q.reshape(-1, n, n)))
+    selfadjoint = star or _adjoint_closed(space, cfg)
     is_unital = unital or space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
     return MatrixAlgebra(space, is_unital, selfadjoint)
 
@@ -151,15 +172,26 @@ def _commuted_set(S) -> list:
     return [as_matrix(M) for M in S]
 
 
+def _commutator_system(mats: np.ndarray, Bstack: np.ndarray) -> np.ndarray:
+    """Rows (i, vec entry), columns k: the maps X -> S_i X - X S_i on B's basis."""
+    k, m, n = mats.shape[0], Bstack.shape[0], Bstack.shape[1]
+    D = np.matmul(mats[:, None], Bstack[None]) - np.matmul(Bstack[None], mats[:, None])
+    return D.reshape(k, m, n * n).transpose(0, 2, 1).reshape(k * n * n, m)
+
+
 def relative_commutant(
     S, ambient: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> MatrixAlgebra:
     """{X in ambient : XS = SX for all S}, as an algebra.
 
     Solved as the numerical nullspace, in ambient coordinates, of the
-    stacked maps X -> S_i X - X S_i.  The nullspace basis returned by the
-    SVD is orthonormal in coordinates, hence Hilbert-Schmidt orthonormal
-    as matrices.
+    commutator maps of a few random combinations of S.  That nullspace
+    holds the commutant and can only be too large, so the candidate is
+    certified against every element S_i in one batched residual
+    ||S_i X - X S_i||; elements above the rank cut join the system and it is
+    solved again.  The loop ends at the latest with the whole of S in the
+    system.  The nullspace basis returned by the SVD is orthonormal in
+    coordinates, hence Hilbert-Schmidt orthonormal as matrices.
     """
     mats = _commuted_set(S)
     n = ambient.ambient_dim
@@ -168,33 +200,35 @@ def relative_commutant(
     if m == 0:
         return MatrixAlgebra(OperatorSubspace(n, ()), False, ambient.selfadjoint)
     Bstack = np.stack(ambient.basis)
-    if not mats:
-        coeff_basis = np.eye(m)
-    else:
-        A = np.stack(mats)
-        left = np.einsum("iab,kbc->ikac", A, Bstack)
-        right = np.einsum("kab,ibc->ikac", Bstack, A)
-        D = (left - right).reshape(len(mats), m, n * n)
-        M = D.transpose(0, 2, 1).reshape(len(mats) * n * n, m)
-        # rows >= m always (m <= n^2), so economy Vh still carries all m rows
-        _, svals, Vh = np.linalg.svd(M, full_matrices=False)
-        top = svals[0] if svals.size else 0.0
-        # scale against the commuted set, not only sigma_max: when every
-        # basis element commutes the stack is numerical noise and the whole
-        # coordinate space is nullspace
-        scale = max(top, max(np.linalg.norm(S) for S in mats))
-        rank = int(np.sum(svals > cfg.rank_tol * scale)) if scale > 0 else 0
-        coeff_basis = Vh[rank:].conj()
-    flat = coeff_basis @ Bstack.reshape(m, n * n)
-    basis = tuple(row.reshape(n, n) for row in flat)
-    space = OperatorSubspace(n, basis)
+    X = Bstack
     if mats:
-        sa_set = subspace_contains(
-            orthonormalize(mats, cfg), orthonormalize([M.conj().T for M in mats], cfg), cfg
-        )
-    else:
-        sa_set = True
-    selfadjoint = ambient.selfadjoint and sa_set
+        A = np.stack(mats)
+        count = len(mats)
+        k = min(count, _COMMUTANT_PROBES)
+        rng = cfg.rng(111)
+        # variance 1/k per coefficient: the probes' Gram matrix then matches
+        # the whole set's in expectation, so the rank cut keeps its scale
+        coeff = rng.standard_normal((k, count)) + 1j * rng.standard_normal((k, count))
+        system = np.tensordot(coeff / np.sqrt(2 * k), A, axes=1)
+        norm_max = max(np.linalg.norm(M) for M in mats)
+        joined = np.zeros(count, dtype=bool)
+        while True:
+            # rows >= m always (m <= n^2), so economy Vh still carries all m rows
+            svals, Vh = rank_svd(_commutator_system(system, Bstack))
+            # scale against the commuted set, not only sigma_max: when every
+            # basis element commutes the stack is numerical noise and the whole
+            # coordinate space is nullspace
+            cut = cfg.rank_tol * max(svals[0], norm_max)
+            X = np.tensordot(Vh[int(np.sum(svals > cut)) :].conj(), Bstack, axes=1)
+            comm = np.matmul(A[:, None], X[None]) - np.matmul(X[None], A[:, None])
+            failed = (np.linalg.norm(comm.reshape(count, -1), axis=1) > cut) & ~joined
+            if not failed.any():
+                break
+            joined |= failed
+            system = np.concatenate([system, A[failed]])
+    space = OperatorSubspace(n, tuple(X))
+    span = S.space if isinstance(S, MatrixAlgebra) else orthonormalize(mats, cfg, ambient_dim=n)
+    selfadjoint = ambient.selfadjoint and _adjoint_closed(span, cfg)
     unital = ambient.unital or space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
     return MatrixAlgebra(space, unital, selfadjoint)
 

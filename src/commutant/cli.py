@@ -4,7 +4,9 @@ Loads matrices and algebras from JSON (or builds stock algebras from
 shorthand like ``full:3``), runs any single operation or a whole suite,
 and writes one JSON report.  Exit codes: 0 success, 1 a mathematical
 claim failed (an ``--expect`` mismatch, a failing gallery or suite),
-2 bad input, 3 an optimizer that did not certify convergence.
+2 bad input or a size beyond a cap (``ResourceLimitError``), 3 an
+uncertified result: an optimizer that did not certify convergence or a
+structure that could not be certified (``StructureError``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .algebra import (
     verify_algebra,
 )
 from .blocks import twirl_expectation, wedderburn
-from .config import InvalidInputError, NumericConfig
+from .config import InvalidInputError, NumericConfig, ResourceLimitError, StructureError
 from .gallery import run_gallery
 from .linalg import op_norm
 from .seminorms import (
@@ -324,9 +326,12 @@ def main(argv=None) -> int:
         cfg = _cfg_from(args)
         payload, code = _HANDLERS[args.command](args, cfg)
         _emit(payload, args.output)
-    except InvalidInputError as exc:
+    except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except StructureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig
 
@@ -135,6 +136,25 @@ class OperatorSubspace:
         return float(np.max(np.abs(G - np.eye(self.dim))))
 
 
+def rank_svd(M: np.ndarray):
+    """Singular values and right singular vectors (economy size) of M.
+
+    Every numerical-rank decision goes through here.  numpy's driver,
+    LAPACK gesdd, can fail to converge on matrices with clustered small
+    singular values; the QR-iteration driver gesvd is slower but converges
+    on them, so a failure is retried with it.  A tall M is first reduced
+    to its triangular QR factor, which has the same singular values and
+    right singular vectors at a fraction of the cost.
+    """
+    if M.shape[0] > M.shape[1]:
+        M = np.linalg.qr(M, mode="r")
+    try:
+        _, svals, Vh = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError:
+        _, svals, Vh = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
+    return svals, Vh
+
+
 def orthonormalize(
     mats, cfg: NumericConfig = DEFAULT_CONFIG, ambient_dim: int | None = None
 ) -> OperatorSubspace:
@@ -151,7 +171,7 @@ def orthonormalize(
     n = arrs[0].shape[0]
     arrs = [as_matrix(M, dim=n) for M in arrs]
     V = np.stack([A.ravel() for A in arrs])
-    _, svals, Vh = np.linalg.svd(V, full_matrices=False)
+    svals, Vh = rank_svd(V)
     if svals.size == 0 or svals[0] <= 0:
         return OperatorSubspace(n, ())
     rank = int(np.sum(svals > cfg.rank_tol * svals[0]))
@@ -165,7 +185,8 @@ def subspace_contains(
     """True when every element of W lies in V within eq_tol."""
     if V.ambient_dim != W.ambient_dim:
         raise InvalidInputError("subspaces live in different ambient dimensions")
-    return all(V.residual(B) <= cfg.eq_tol for B in W.basis)
+    R = W.stack - (W.stack @ V.stack.conj().T) @ V.stack
+    return bool(np.all(np.linalg.norm(R, axis=1) <= cfg.eq_tol))
 
 
 def subspace_equal(

@@ -33,75 +33,7 @@ __all__ = [
     "report_from_json",
     "jsonable",
     "canonical_dumps",
-    "MATRIX_SCHEMA",
-    "ALGEBRA_SCHEMA",
-    "STRUCTURE_SCHEMA",
-    "DISTANCE_REPORT_SCHEMA",
 ]
-
-
-MATRIX_SCHEMA = {
-    "type": "object",
-    "required": ["dim", "entries"],
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "entries": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-        },
-    },
-}
-
-ALGEBRA_SCHEMA = {
-    "type": "object",
-    "required": ["ambient_dim", "unital", "selfadjoint", "basis"],
-    "properties": {
-        "ambient_dim": {"type": "integer", "minimum": 1},
-        "unital": {"type": "boolean"},
-        "selfadjoint": {"type": "boolean"},
-        "basis": {"type": "array", "items": MATRIX_SCHEMA},
-    },
-}
-
-STRUCTURE_SCHEMA = {
-    "type": "object",
-    "required": ["blocks", "unitary"],
-    "properties": {
-        "blocks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["s", "m"],
-                "properties": {
-                    "s": {"type": "integer", "minimum": 1},
-                    "m": {"type": "integer", "minimum": 1},
-                },
-            },
-        },
-        "unitary": MATRIX_SCHEMA,
-    },
-}
-
-DISTANCE_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["value", "lower", "upper", "converged", "witness", "iterations"],
-    "properties": {
-        "value": {"type": "number"},
-        "lower": {"type": "number"},
-        "upper": {"type": "number"},
-        "converged": {"type": "boolean"},
-        "witness": {"oneOf": [MATRIX_SCHEMA, {"type": "null"}]},
-        "iterations": {"type": "integer", "minimum": 0},
-    },
-}
 
 
 def _require(cond: bool, message: str):

@@ -16,6 +16,8 @@ from commutant.algebra import (
     scalar_algebra,
     verify_algebra,
 )
+import commutant.algebra as algebra_module
+from commutant.blocks import block_algebra
 from commutant.config import InvalidInputError, NumericConfig
 from commutant.linalg import (
     haar_unitary,
@@ -23,6 +25,7 @@ from commutant.linalg import (
     orthonormalize,
     random_matrix,
     subspace_contains,
+    subspace_distance,
     subspace_equal,
 )
 
@@ -32,13 +35,14 @@ CFG = NumericConfig()
 def kron_commutant_basis(mats, ambient_space=None, tol=1e-9):
     """Oracle commutant via the vectorized Sylvester operators.
 
-    Stacks I (x) S - S^T (x) I for each S (whose nullspace is {X : SX = XS})
-    plus, when an ambient span is given, rows forcing X into that span.
-    Entirely independent of the library's coordinate-restricted solver.
+    Stacks S (x) I - I (x) S^T for each S, the map vec(X) -> vec(SX - XS)
+    on row-major vec(), whose nullspace is {X : SX = XS}; plus, when an
+    ambient span is given, rows forcing X into that span.  Entirely
+    independent of the library's coordinate-restricted solver.
     """
     n = mats[0].shape[0]
     L = np.vstack(
-        [np.kron(np.eye(n), S) - np.kron(S.T, np.eye(n)) for S in mats]
+        [np.kron(S, np.eye(n)) - np.kron(np.eye(n), S.T) for S in mats]
     )
     if ambient_space is not None:
         V = ambient_space.stack  # rows are vec(B_i)
@@ -106,6 +110,55 @@ class TestRelativeCommutant:
         assert not relative_commutant([N], full_matrix_algebra(2), CFG).selfadjoint
 
 
+    @pytest.mark.parametrize("kind", ["diag", "full", "blocks", "poly", "corner-row"])
+    def test_probe_solve_matches_kron_oracle(self, kind, monkeypatch):
+        n = 6
+        rng = np.random.default_rng(31)
+        if kind == "diag":
+            S = diagonal_algebra(n)
+        elif kind == "full":
+            S = full_matrix_algebra(n)
+        elif kind == "blocks":
+            S = block_algebra(((2, 2), (1, 2)), haar_unitary(rng, n))
+        elif kind == "poly":
+            S = generate_algebra([random_matrix(rng, n)], CFG)
+        else:
+            # span{1, E_12, ..., E_16}: three random combinations leave the
+            # commutant too large, so the certificate has to add elements
+            units = [np.eye(n)[:, [0]] @ np.eye(n)[[j], :] for j in range(1, n)]
+            S = generate_algebra(units, CFG)
+            assert S.dim == n
+        solves = []
+        real = algebra_module.rank_svd
+
+        def counting(M):
+            solves.append(M.shape)
+            return real(M)
+
+        monkeypatch.setattr(algebra_module, "rank_svd", counting)
+        C = relative_commutant(S, full_matrix_algebra(n), CFG)
+        oracle = orthonormalize(kron_commutant_basis(list(S.basis)), CFG)
+        assert C.dim == oracle.dim
+        assert subspace_distance(C.space, oracle) <= CFG.eq_tol
+        if kind == "corner-row":
+            assert len(solves) > 1
+
+    def test_rank_svd_retries_when_gesdd_fails(self, monkeypatch):
+        real = np.linalg.svd
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_once)
+        C = relative_commutant([np.diag([1.0, 2.0, 3.0])], full_matrix_algebra(3), CFG)
+        assert calls  # the first SVD of the solve raised
+        assert subspace_equal(C.space, diagonal_algebra(3).space, CFG)
+
+
 class TestGenerateAlgebra:
     def test_polynomial_algebra_dimension_matches_minimal_polynomial(self):
         rng = np.random.default_rng(24)
@@ -136,6 +189,13 @@ class TestGenerateAlgebra:
         A = generate_algebra([E11], CFG, unital=False)
         assert A.dim == 1
         assert not A.unital
+
+    def test_star_closure_reaches_m16(self):
+        rng = np.random.default_rng(32)
+        A = generate_algebra([random_matrix(rng, 16), random_matrix(rng, 16)], CFG, star=True)
+        assert A.dim == 256
+        assert A.space.gram_defect() <= 1e-10
+        assert center(A, CFG).dim == 1
 
     def test_two_commuting_generators(self):
         D1 = np.diag([1.0, 1.0, 2.0])

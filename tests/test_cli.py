@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from commutant.cli import main
+from commutant.config import StructureError
 from commutant.gallery import corner_traceless_algebra, selfcommutant_triangular
 from commutant.serialize import algebra_to_json, matrix_to_json
 
@@ -126,6 +127,25 @@ def test_gallery_single_item_to_file(capsys, tmp_path):
 def test_gallery_unknown_item_exits_two(capsys):
     code = main(["gallery", "--items", "no-such-item"])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_size_beyond_cap_exits_two_without_traceback(capsys):
+    code = main(["center", "--algebra", "full:65"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_uncertified_structure_exits_three(capsys, monkeypatch):
+    def uncertified(A, cfg):
+        raise StructureError("could not separate the central spectrum")
+
+    monkeypatch.setattr("commutant.cli.wedderburn", uncertified)
+    code = main(["wedderburn", "--algebra", "diag:3"])
+    assert code == 3
     assert capsys.readouterr().err.startswith("error:")
 
 
