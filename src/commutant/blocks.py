@@ -56,6 +56,50 @@ class BlockStructure:
         return out
 
 
+class _BlockScatter:
+    """Scatter and gather positions of a BlockStructure, blocks grouped by shape.
+
+    The blocks of one shape (s, m) form a group whose unitaries are held as
+    one (..., K, s, s) array.  flat[g][k, a, b, j] is the position, in the
+    flattened n x n adapted basis, of entry (a, b) of the k-th block of
+    group g on its j-th multiplicity copy, so u tensor I_m lands in place
+    with one fancy-index assignment and a block partial trace is one gather.
+    """
+
+    def __init__(self, st: BlockStructure):
+        n = st.ambient_dim
+        offsets = np.cumsum([0] + [s * m for s, m in st.blocks])
+        members = {}
+        for k, shape in enumerate(st.blocks):
+            members.setdefault(shape, []).append(k)
+        self.n = n
+        self.members = list(members.values())
+        self.flat = []
+        for (s, m), ks in members.items():
+            base = offsets[ks][:, None, None, None]
+            j = np.arange(m)
+            rows = base + np.arange(s)[:, None, None] * m + j
+            cols = base + np.arange(s)[None, :, None] * m + j
+            self.flat.append(rows * n + cols)
+
+    def group(self, per_block) -> list:
+        """Stack per-block (..., s, s) arrays into per-group (..., K, s, s) arrays."""
+        return [np.stack([per_block[k] for k in ks], axis=-3) for ks in self.members]
+
+    def assemble(self, Us) -> np.ndarray:
+        """(R, n, n) direct sums of u tensor I_m from per-group (R, K, s, s) unitaries."""
+        R = Us[0].shape[0]
+        out = np.zeros((R, self.n * self.n), dtype=np.complex128)
+        for idx, u in zip(self.flat, Us):
+            out[:, idx] = u[..., None]
+        return out.reshape(R, self.n, self.n)
+
+    def block_traces(self, X: np.ndarray) -> list:
+        """Per-group (R, K, s, s) partial traces over multiplicity of (R, n, n) X."""
+        Xf = X.reshape(X.shape[0], self.n * self.n)
+        return [Xf[:, idx].sum(axis=-1) for idx in self.flat]
+
+
 def _cluster_sorted(vals: np.ndarray, count: int):
     """Split sorted eigenvalues into `count` groups at the largest gaps.
 
@@ -261,17 +305,10 @@ def structure_algebra(st: BlockStructure) -> MatrixAlgebra:
 
 def representative_unitary(st: BlockStructure, block_unitaries) -> np.ndarray:
     """Assemble U (+) ... from per-block s x s unitaries, in ambient coordinates."""
-    mats = []
-    for (s, m), u in zip(st.blocks, block_unitaries):
-        mats.append(np.kron(as_matrix(u, dim=s), np.eye(m)))
-    n = st.ambient_dim
-    out = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for Mk in mats:
-        k = Mk.shape[0]
-        out[at : at + k, at : at + k] = Mk
-        at += k
-    return st.unitary @ out @ st.unitary.conj().T
+    layout = _BlockScatter(st)
+    per_block = [as_matrix(u, dim=s)[None] for (s, _), u in zip(st.blocks, block_unitaries)]
+    Ub = layout.assemble(layout.group(per_block))[0]
+    return st.unitary @ Ub @ st.unitary.conj().T
 
 
 def block_average(st: BlockStructure, T: np.ndarray) -> np.ndarray:

@@ -214,12 +214,6 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
     return (Z + Z.conj().T) / 2.0
 
 
-def random_unit_hs(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random matrix of Frobenius norm 1 (Ginibre direction)."""
-    Z = random_matrix(rng, n)
-    return Z / np.linalg.norm(Z)
-
-
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     Q, R = np.linalg.qr(random_matrix(rng, n))

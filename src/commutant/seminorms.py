@@ -3,10 +3,11 @@
 Two optimization problems live here:
 
 * dist_opnorm minimizes ||T - a|| over a in a subspace.  That is convex in
-  the coefficients; it is solved by minimizing a softmax smoothing of the
-  squared singular values with a decreasing temperature, polished with
-  exact line searches, and certified by a dual witness (a unit-nuclear-norm
-  matrix orthogonal to the subspace pairs with T to give a lower bound).
+  the coefficients, and its epigraph t I >= [[0, M], [M*, 0]] is a linear
+  matrix inequality, so one log-det barrier path from the projection of T
+  solves it.  The barrier's final inverse also yields the certificate: its
+  off-diagonal block, projected off the subspace and scaled to unit
+  nuclear norm, pairs with T to give a lower bound on the distance.
 
 * the derivation seminorm sup ||UT - TU|| over unitaries U commuting with
   an algebra.  The commutant's unitary group is a product of block unitary
@@ -27,17 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
-from .algebra import MatrixAlgebra, full_matrix_algebra, relative_commutant
-from .blocks import BlockStructure, wedderburn
+from .algebra import MatrixAlgebra, relative_commutant
+from .blocks import BlockStructure, _BlockScatter, wedderburn
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig
 from .linalg import (
     OperatorSubspace,
     as_matrix,
     haar_unitaries,
     op_norm,
-    orthonormalize,
     subspace_contains,
 )
 
@@ -102,38 +101,12 @@ def commutant_model(
 # dist_opnorm
 
 
-def _coeff_matrix(vecT: np.ndarray, stack: np.ndarray, r: np.ndarray, n: int):
-    d = stack.shape[0]
-    x = r[:d] + 1j * r[d:]
-    return (vecT - stack.T @ x).reshape(n, n)
-
-
-def _smooth_value_grad(vecT, stack, n, mu, r):
-    M = _coeff_matrix(vecT, stack, r, n)
-    U, s, Vh = np.linalg.svd(M)
-    z = s * s
-    zmax = z[0] if z.size else 0.0
-    w = np.exp((z - zmax) / mu)
-    total = w.sum()
-    f = zmax + mu * np.log(total)
-    p = w / total
-    # d f = Re tr(dM . G) with G = sum_i p_i 2 s_i u_i w_i^*  (u right, w left)
-    G = (Vh.conj().T * (2.0 * p * s)) @ U.conj().T
-    t = stack @ G.T.ravel()
-    grad = np.concatenate([-np.real(t), np.imag(t)])
-    return f, grad
-
-
-def _nuclear(M) -> float:
-    return float(np.linalg.svd(M, compute_uv=False).sum())
-
-
 def _bound_from_Z(T, V: OperatorSubspace, Z: np.ndarray) -> float:
     """Valid lower bound from any dual candidate: project off V, renormalize."""
     best = 0.0
     for W in (Z, Z.conj().T):
-        Wp = W - V.project(W) if V.dim else W
-        nn = _nuclear(Wp)
+        Wp = W - V.project(W)
+        nn = float(np.linalg.svd(Wp, compute_uv=False).sum())
         if nn > 1e-14:
             best = max(best, abs(float(np.real(np.vdot(Wp, np.asarray(T))))) / nn)
     return best
@@ -150,7 +123,7 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
     """
     d = stack.shape[0]
     two = 2 * n
-    eye = np.eye(two)
+    eye = np.eye(two, dtype=np.complex128)
     dFs = np.zeros((1 + 2 * d, two, two), dtype=np.complex128)
     dFs[0] = eye
     for k in range(d):
@@ -159,11 +132,13 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
         dFs[1 + k, n:, :n] = -B.conj().T
         dFs[1 + d + k, :n, n:] = -1j * B
         dFs[1 + d + k, n:, :n] = 1j * B.conj().T
+    m = dFs.shape[0]
+    dF_rows = dFs.reshape(m, -1)
 
     def F_of(y):
         x = y[1 : 1 + d] + 1j * y[1 + d :]
         M = (vecT - stack.T @ x).reshape(n, n)
-        F = y[0] * eye.astype(np.complex128)
+        F = y[0] * eye
         F[:n, n:] += M
         F[n:, :n] += M.conj().T
         return F
@@ -181,7 +156,12 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
     y = np.concatenate([[t0 + 0.05 * scale + 1e-8], x0.real, x0.imag])
     steps = 0
     theta = 0.1 * scale
-    theta_min = 1e-8 * scale
+    # the central point at theta lies at most 2n * theta above the optimum,
+    # so 1e-10 * scale leaves ~1e-9 * scale at n <= 6, well inside the 1e-6
+    # certificate.  Going further buys nothing: at 1e-11 F is so near
+    # singular that the dual candidate P12 degrades, and the largest
+    # certified gap over n = 2..10 grew tenfold, to 4e-7 * scale.
+    theta_min = 1e-10 * scale
 
     def newton_system(yv, theta):
         F = F_of(yv)
@@ -190,12 +170,13 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
         except np.linalg.LinAlgError:
             return None
         P = (P + P.conj().T) / 2.0
-        traces = np.real(np.einsum("ij,aji->a", P, dFs))
+        # tr(P dF_a) and tr(P dF_a P dF_b) as matrix products
+        traces = np.real(dF_rows @ P.T.ravel())
         grad = -theta * traces
         grad[0] += 1.0
-        Q = np.einsum("ij,ajk->aik", P, dFs)
-        H = theta * np.real(np.einsum("aij,bji->ab", Q, Q))
-        H[np.diag_indices_from(H)] += 1e-13 * max(1.0, theta)
+        Q = P @ dFs
+        H = theta * np.real(Q.reshape(m, -1) @ np.swapaxes(Q, 1, 2).reshape(m, -1).T)
+        H.flat[:: m + 1] += 1e-13 * max(1.0, theta)
         try:
             delta = np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
@@ -259,193 +240,19 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
     return x, steps, best_P[:n, n:]
 
 
-def _dual_lower(T, V: OperatorSubspace, M: np.ndarray, target: float, tol: float) -> float:
-    """Best lower bound from unit-nuclear-norm duals built on M's top cluster.
-
-    Subgradients of the top singular value at M are U1 S V1* with S psd of
-    trace one on the top singular spaces.  S is chosen to minimize the
-    component inside V; that component is then subtracted outright and the
-    result renormalized, which keeps the bound valid regardless of how
-    close S came to feasible.  If the certificate still falls short of
-    target - tol, the bound itself is maximized directly over S.
-    """
-    U, s, Vh = np.linalg.svd(M)
-    if s.size == 0 or s[0] <= 0:
-        return 0.0
-    best = 0.0
-    for width in (1e-5, 1e-3):
-        r = min(int(np.sum(s >= s[0] * (1.0 - width))), 4)
-        best = max(best, _dual_lower_rank(np.asarray(T), V, U, Vh, r, target, tol))
-        if best >= target - tol:
-            break
-    return best
-
-
-def _dual_lower_rank(T, V, U, Vh, r, target, tol) -> float:
-    U1 = U[:, :r]
-    V1 = Vh[:r].conj().T
-
-    def bound_for(S):
-        Z = U1 @ S @ V1.conj().T
-        Zp = Z - V.project(Z) if V.dim else Z
-        nn = _nuclear(Zp)
-        if nn <= 1e-12:
-            return 0.0
-        return float(np.real(np.vdot(Zp, T))) / nn
-
-    if r == 1 or V.dim == 0:
-        return max(0.0, bound_for(np.eye(r)))
-    # C[i, j, :] = coefficients in V of the (i, j) singular-space dyad
-    C = np.empty((r, r, V.dim), dtype=np.complex128)
-    for i in range(r):
-        for j in range(r):
-            C[i, j] = V.coeffs(np.outer(U1[:, i], V1[:, j].conj()))
-    if r == 2:
-        S = _best_bloch(C)
-    else:
-        S = _frank_wolfe_simplex(C, iters=200)
-    best = max(bound_for(S), bound_for(np.eye(r) / r))
-    if best < target - tol:
-        # maximize the bound itself over S = LL*/tr(LL*)
-        tri = np.tril_indices(r)
-
-        def pack(L):
-            return np.concatenate([L[tri].real, L[tri].imag])
-
-        def unpack(p):
-            half = p.size // 2
-            L = np.zeros((r, r), dtype=complex)
-            L[tri] = p[:half] + 1j * p[half:]
-            return L
-
-        try:
-            L0 = np.linalg.cholesky(S + 1e-8 * np.eye(r))
-        except np.linalg.LinAlgError:
-            L0 = np.eye(r, dtype=complex)
-
-        def neg_bound(p):
-            L = unpack(p)
-            G = L @ L.conj().T
-            trace = np.real(np.trace(G))
-            if trace < 1e-14:
-                return 0.0
-            return -bound_for(G / trace)
-
-        res = scipy.optimize.minimize(
-            neg_bound, pack(L0), method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 300 * r},
-        )
-        best = max(best, -float(res.fun))
-    return max(0.0, best)
-
-
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-def _best_bloch(C: np.ndarray) -> np.ndarray:
-    """Exact minimizer of the in-subspace component over 2x2 psd trace-1 S.
-
-    Those S are (I + u . sigma)/2 over the closed unit ball, so the problem
-    is least squares over a ball, solved by the usual secular equation.
-    """
-    c0 = np.tensordot(np.eye(2) / 2.0, C, axes=2)
-    cols = [np.tensordot(P / 2.0, C, axes=2) for P in _PAULIS]
-    Mr = np.column_stack(
-        [np.concatenate([col.real, col.imag]) for col in cols]
-    )
-    t = -np.concatenate([c0.real, c0.imag])
-    Uq, sq, Vt = np.linalg.svd(Mr, full_matrices=False)
-    b = Uq.T @ t
-    good = sq > 1e-13 * (sq[0] if sq.size else 1.0)
-
-    def u_of(lam):
-        z = np.zeros_like(sq)
-        z[good] = sq[good] * b[good] / (sq[good] ** 2 + lam)
-        return Vt.T @ z
-
-    u = u_of(0.0)
-    if np.linalg.norm(u) > 1.0:
-        lo, hi = 0.0, 1.0
-        while np.linalg.norm(u_of(hi)) > 1.0:
-            hi *= 4.0
-            if hi > 1e12:
-                break
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if np.linalg.norm(u_of(mid)) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        u = u_of(hi)
-    S = np.eye(2, dtype=complex) / 2.0
-    for uk, P in zip(u, _PAULIS):
-        S = S + uk * P / 2.0
-    return S
-
-
-def _frank_wolfe_simplex(C: np.ndarray, iters: int) -> np.ndarray:
-    r = C.shape[0]
-    S = np.eye(r, dtype=np.complex128) / r
-    c = np.tensordot(S, C, axes=2)
-    for _ in range(iters):
-        Mgrad = np.tensordot(np.conj(c), C.transpose(2, 0, 1), axes=1)
-        H = (Mgrad.T + np.conj(Mgrad)) / 2.0
-        vals, vecs = np.linalg.eigh(H)
-        v = vecs[:, 0]
-        c_v = np.tensordot(np.outer(v, v.conj()), C, axes=2)
-        diff = c_v - c
-        denom = float(np.real(np.vdot(diff, diff)))
-        if denom < 1e-30:
-            break
-        gamma = float(np.clip(-np.real(np.vdot(c, diff)) / denom, 0.0, 1.0))
-        if gamma <= 0.0:
-            break
-        S = (1.0 - gamma) * S + gamma * np.outer(v, v.conj())
-        c = (1.0 - gamma) * c + gamma * c_v
-    return S
-
-
-def _exact_polish(vecT, stack, n, r):
-    """A few steepest-descent steps with exact line search on the true norm."""
-    value = lambda rr: float(
-        np.linalg.svd(_coeff_matrix(vecT, stack, rr, n), compute_uv=False)[0]
-    )
-    best = value(r)
-    for _ in range(8):
-        _, g = _smooth_value_grad(vecT, stack, n, 1e-12 * max(best * best, 1e-12), r)
-        gn = np.linalg.norm(g)
-        if gn < 1e-14:
-            break
-        direction = -g / gn
-        res = scipy.optimize.minimize_scalar(
-            lambda t: value(r + t * direction),
-            bounds=(0.0, max(best, 1e-6)),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if res.fun < best - 1e-15:
-            best = float(res.fun)
-            r = r + float(res.x) * direction
-        else:
-            break
-    return r, best
-
-
 def dist_opnorm(
     T, V: OperatorSubspace, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> DistanceReport:
     """Operator-norm distance from T to the subspace V.
 
-    Convex in the coefficients; the report's value is the best found (an
-    upper bound on the true distance, attained by the witness), lower_bound
-    is a dual certificate, and converged means the certified gap between
-    the two is at most 1e-6 relative.  One barrier start from the
-    projection of T suffices: for a convex problem the gap, not agreement
-    between starts, is what certifies the value.
+    One log-det barrier path, started from the projection of T, gives the
+    approximant: the report's witness lies in V and its value is
+    ||T - witness||, an upper bound on the distance.  lower_bound is the
+    dual certificate from the barrier's final inverse, and converged means
+    the certified gap between the two is at most 1e-6 relative to
+    max(1, ||T||).  If the barrier breaks down, the report carries the
+    projection of T as witness, lower_bound 0 and converged False.  cfg is
+    accepted for a uniform signature; the barrier needs no settings.
     """
     A = as_matrix(T, dim=V.ambient_dim)
     n = V.ambient_dim
@@ -453,91 +260,23 @@ def dist_opnorm(
     if V.dim == 0:
         val = op_norm(A)
         return DistanceReport(val, np.zeros((n, n)), val, val, 0, True)
-    vecT = A.ravel()
     stack = V.stack
-    d = V.dim
     x0 = V.coeffs(A)
-    iterations = 0
-    lower = 0.0
-    out = _barrier_solve(vecT, stack, n, x0, scale)
-    if out is not None:
+    out = _barrier_solve(A.ravel(), stack, n, x0, scale)
+    if out is None:
+        x, iterations, lower = x0, 0, 0.0
+    else:
         x, iterations, P12 = out
         lower = _bound_from_Z(A, V, P12)
-        r = np.concatenate([x.real, x.imag])
-    else:
-        r = np.concatenate([x0.real, x0.imag])
-        for mu in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
-            res = scipy.optimize.minimize(
-                lambda rr: _smooth_value_grad(
-                    vecT, stack, n, mu * scale * scale, rr
-                ),
-                r,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": cfg.opt_max_iters, "ftol": 1e-16, "gtol": 1e-12},
-            )
-            r = res.x
-            iterations += int(res.nit)
-    r, val = _exact_polish(vecT, stack, n, r)
-    dual_slack = 0.5 * _DIST_GAP_TOL * scale
-    if val - lower > dual_slack:
-        Mstar = _coeff_matrix(vecT, stack, r, n)
-        lower = max(lower, _dual_lower(A, V, Mstar, val, dual_slack))
-    lower = min(lower, val)
-    x = r[:d] + 1j * r[d:]
     witness = (stack.T @ x).reshape(n, n)
-    converged = (val - lower) <= _DIST_GAP_TOL * scale
-    return DistanceReport(
-        float(val), witness, float(lower), float(val), iterations, bool(converged)
-    )
+    val = op_norm(A - witness)
+    lower = min(lower, val)
+    converged = out is not None and (val - lower) <= _DIST_GAP_TOL * scale
+    return DistanceReport(val, witness, lower, val, iterations, bool(converged))
 
 
 # ---------------------------------------------------------------------------
 # derivation seminorm
-
-
-class _BlockScatter:
-    """Scatter and gather positions of a BlockStructure, blocks grouped by shape.
-
-    The blocks of one shape (s, m) form a group whose unitaries are held as
-    one (..., K, s, s) array.  flat[g][k, a, b, j] is the position, in the
-    flattened n x n adapted basis, of entry (a, b) of the k-th block of
-    group g on its j-th multiplicity copy, so u tensor I_m lands in place
-    with one fancy-index assignment and a block partial trace is one gather.
-    """
-
-    def __init__(self, st: BlockStructure):
-        n = st.ambient_dim
-        offsets = np.cumsum([0] + [s * m for s, m in st.blocks])
-        members = {}
-        for k, shape in enumerate(st.blocks):
-            members.setdefault(shape, []).append(k)
-        self.n = n
-        self.members = list(members.values())
-        self.flat = []
-        for (s, m), ks in members.items():
-            base = offsets[ks][:, None, None, None]
-            j = np.arange(m)
-            rows = base + np.arange(s)[:, None, None] * m + j
-            cols = base + np.arange(s)[None, :, None] * m + j
-            self.flat.append(rows * n + cols)
-
-    def group(self, per_block) -> list:
-        """Stack per-block (..., s, s) arrays into per-group (..., K, s, s) arrays."""
-        return [np.stack([per_block[k] for k in ks], axis=-3) for ks in self.members]
-
-    def assemble(self, Us) -> np.ndarray:
-        """(R, n, n) direct sums of u tensor I_m from per-group (R, K, s, s) unitaries."""
-        R = Us[0].shape[0]
-        out = np.zeros((R, self.n * self.n), dtype=np.complex128)
-        for idx, u in zip(self.flat, Us):
-            out[:, idx] = u[..., None]
-        return out.reshape(R, self.n, self.n)
-
-    def block_traces(self, X: np.ndarray) -> list:
-        """Per-group (R, K, s, s) partial traces over multiplicity of (R, n, n) X."""
-        Xf = X.reshape(X.shape[0], self.n * self.n)
-        return [Xf[:, idx].sum(axis=-1) for idx in self.flat]
 
 
 def _top_pair(F: np.ndarray):

@@ -149,6 +149,15 @@ def test_uncertified_structure_exits_three(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_uncertified_distance_exits_three(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("commutant.seminorms._barrier_solve", lambda *args: None)
+    T = np.random.default_rng(16).standard_normal((3, 3))
+    tpath = write_json(tmp_path / "t.json", matrix_to_json(T))
+    code, out = run_cli(capsys, "dist", "--t", tpath, "--space", "diag:3")
+    assert code == 3
+    assert out["result"]["report"]["converged"] is False
+
+
 def test_missing_input_file_exits_two(capsys):
     code = main(["dist", "--t", "does-not-exist.json", "--space", "scalars:2"])
     assert code == 2

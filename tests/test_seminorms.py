@@ -5,10 +5,17 @@ search and Nelder-Mead for distances, an exhaustive parametrization of the
 2x2 unitary group and blockwise Haar sampling for the seminorm.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+import commutant
+from commutant import seminorms
 from commutant.algebra import (
     MatrixAlgebra,
     algebra_from_space,
@@ -144,17 +151,46 @@ def test_dist_member_is_zero_with_projection_witness():
 
 def test_dist_report_invariants():
     rng = np.random.default_rng(13)
-    for n in (2, 3, 4, 5):
-        Dn = diagonal_algebra(n)
+    X = np.random.default_rng(14).standard_normal((6, 6)) + 0j
+    blocks = X.copy()
+    blocks[:2, 2:] = 0.0
+    blocks[2:, :2] = 0.0
+    algebras = [diagonal_algebra(n) for n in (2, 3, 4, 5)] + [
+        generate_algebra([X], CFG),  # polynomial algebra of a generic X
+        generate_algebra([blocks], CFG, star=True),  # M_2 (+) M_4
+    ]
+    for A in algebras:
+        n = A.ambient_dim
         T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rep = dist_opnorm(T, Dn.space, CFG)
+        rep = dist_opnorm(T, A.space, CFG)
         scale = max(1.0, op_norm(T))
         assert 0.0 <= rep.lower_bound <= rep.value <= rep.upper_bound
         assert rep.converged
         assert rep.gap <= 1e-6 * scale
         # witness is the approximant: it lies in the subspace and attains value
-        assert Dn.space.residual(rep.witness) < 1e-8
+        assert A.space.residual(rep.witness) < 1e-8
         assert abs(op_norm(T - rep.witness) - rep.value) < 1e-10
+
+
+def test_dist_barrier_failure_is_uncertified_projection(monkeypatch):
+    monkeypatch.setattr(seminorms, "_barrier_solve", lambda *args: None)
+    rng = np.random.default_rng(15)
+    T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    D4 = diagonal_algebra(4)
+    rep = dist_opnorm(T, D4.space, CFG)
+    assert not rep.converged
+    assert 0.0 <= rep.lower_bound <= rep.value
+    assert D4.space.residual(rep.witness) < 1e-8
+    assert abs(op_norm(T - rep.witness) - rep.value) < 1e-12
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize adds about 20 MB and 0.3 s to a bare `import commutant`
+    code = "import sys, commutant; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(commutant.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_dist_empty_subspace_is_norm():
