@@ -12,6 +12,7 @@ with seeded, reproducible numbers.
 from .algebra import (
     MatrixAlgebra,
     algebra_from_space,
+    block_algebra,
     center,
     diagonal_algebra,
     double_commutant,
@@ -25,7 +26,6 @@ from .algebra import (
 )
 from .blocks import (
     BlockStructure,
-    block_algebra,
     block_average,
     minimal_central_projections,
     representative_unitary,

@@ -4,6 +4,12 @@ A MatrixAlgebra is an OperatorSubspace that is closed under multiplication,
 tagged with whether it contains the ambient identity and whether it is
 closed under the adjoint.
 
+Every finite-dimensional C*-algebra is a direct sum of blocks M_s tensor
+I_m, and block_layout() says where each entry of such a sum sits in an
+n x n matrix.  block_algebra() builds the sum from that table, and the
+stock algebras are block algebras: M_n is one block (n, 1), the diagonal
+masa n blocks (1, 1) and the scalars one block (1, n).
+
 The relative commutant of a set S inside an ambient algebra B is
 {X in B : XS = SX for every S}.  It is solved in B's coordinates against a
 few random combinations of S, whose nullspace can only be too large, and
@@ -30,8 +36,9 @@ from .linalg import (
     subspace_equal,
 )
 
-# products per closure check beyond this are refused rather than ground through
-MAX_PRODUCTS_PER_ROUND = 300_000
+# closure checks above this many multiply-adds (m^3 n^2 for an m-dimensional
+# algebra in M_n) are refused rather than ground through; M_16 needs 4.3e9
+_MAX_CLOSURE_WORK = 10**10
 # random combinations of the commuted set in the first commutant solve
 _COMMUTANT_PROBES = 3
 
@@ -57,38 +64,63 @@ class MatrixAlgebra:
         return self.space.basis
 
 
-def full_matrix_algebra(n: int) -> MatrixAlgebra:
-    """All of M_n, with the matrix units as the stored basis."""
+def block_layout(blocks) -> list:
+    """Flat positions of the blocks of (+) M_s tensor I_m in an n x n matrix.
+
+    Block k = (s, m) covers rows and columns off .. off + s*m - 1, where off
+    is the s*m total of the blocks before it.  Entry (a, b) of its M_s factor
+    on multiplicity copies (j, l) sits at row off + a*m + j and column
+    off + b*m + l.  For each block the returned (s, s, m, m) integer array
+    holds at [a, b, j, l] the position row * n + column of that entry in
+    the flattened matrix.  Its j = l diagonal carries the algebra
+    (M_s tensor I_m) and its a = b diagonal the commutant (I_s tensor M_m).
+    """
+    n = sum(s * m for s, m in blocks)
+    table, off = [], 0
+    for s, m in blocks:
+        rows = off + np.arange(s)[:, None] * m + np.arange(m)
+        table.append(rows[:, None, :, None] * n + rows[None, :, None, :])
+        off += s * m
+    return table
+
+
+def block_algebra(blocks, unitary=None) -> MatrixAlgebra:
+    """The algebra (+) M_s tensor I_m in the basis given by `unitary`.
+
+    The stored basis is the normalized matrix units E_ab tensor I_m / sqrt(m),
+    block by block and row-major in (a, b), which is already
+    Hilbert-Schmidt orthonormal.
+    """
+    blocks = tuple((int(s), int(m)) for s, m in blocks)
+    n = sum(s * m for s, m in blocks)
     if not 1 <= n <= DIM_CAP:
         raise ResourceLimitError(f"ambient dimension {n} outside [1, {DIM_CAP}]")
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n), dtype=np.complex128)
-            E[i, j] = 1.0
-            basis.append(E)
+    units = np.zeros((sum(s * s for s, _ in blocks), n * n), dtype=np.complex128)
+    at = 0
+    for (s, m), pos in zip(blocks, block_layout(blocks)):
+        rows = at + np.arange(s * s)[:, None]
+        units[rows, np.diagonal(pos, axis1=2, axis2=3).reshape(s * s, m)] = 1.0 / np.sqrt(m)
+        at += s * s
+    basis = units.reshape(-1, n, n)
+    if unitary is not None:
+        U = as_matrix(unitary, dim=n)
+        basis = U @ basis @ U.conj().T
     return MatrixAlgebra(OperatorSubspace(n, tuple(basis)), True, True)
+
+
+def full_matrix_algebra(n: int) -> MatrixAlgebra:
+    """All of M_n, with the matrix units as the stored basis."""
+    return block_algebra(((n, 1),))
 
 
 def diagonal_algebra(n: int) -> MatrixAlgebra:
     """The diagonal masa of M_n."""
-    if not 1 <= n <= DIM_CAP:
-        raise ResourceLimitError(f"ambient dimension {n} outside [1, {DIM_CAP}]")
-    basis = []
-    for i in range(n):
-        E = np.zeros((n, n), dtype=np.complex128)
-        E[i, i] = 1.0
-        basis.append(E)
-    return MatrixAlgebra(OperatorSubspace(n, tuple(basis)), True, True)
+    return block_algebra(((1, 1),) * n)
 
 
 def scalar_algebra(n: int) -> MatrixAlgebra:
     """The scalar multiples of the identity in M_n."""
-    if not 1 <= n <= DIM_CAP:
-        raise ResourceLimitError(f"ambient dimension {n} outside [1, {DIM_CAP}]")
-    return MatrixAlgebra(
-        OperatorSubspace(n, (np.eye(n, dtype=np.complex128) / np.sqrt(n),)), True, True
-    )
+    return block_algebra(((1, n),))
 
 
 def algebra_from_space(
@@ -103,16 +135,6 @@ def algebra_from_space(
 def _adjoint_closed(space: OperatorSubspace, cfg: NumericConfig) -> bool:
     adjoints = OperatorSubspace(space.ambient_dim, tuple(B.conj().T for B in space.basis))
     return subspace_contains(space, adjoints, cfg)
-
-
-def _pairwise_products(basis: tuple) -> np.ndarray:
-    B = np.stack(basis)
-    m, n = B.shape[0], B.shape[1]
-    if m * m * n * n > MAX_PRODUCTS_PER_ROUND * 16:
-        raise ResourceLimitError(
-            f"closure round needs {m * m} products of {n}x{n} matrices"
-        )
-    return np.einsum("iab,jbc->ijac", B, B).reshape(m * m, n, n)
 
 
 def generate_algebra(
@@ -292,9 +314,21 @@ def verify_algebra(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> dic
         "unital_defect": 0.0,
         "adjoint_defect": 0.0,
     }
-    if space.dim:
-        products = _pairwise_products(space.basis)
-        report["closure_defect"] = max(space.residual(P) for P in products)
+    m = space.dim
+    if m:
+        if m**3 * n**2 > _MAX_CLOSURE_WORK:
+            raise ResourceLimitError(
+                f"closure check of a {m}-dimensional algebra in M_{n} is too large"
+            )
+        # one left factor at a time: B_i times the whole basis, one residual
+        S = space.stack
+        Bs = S.reshape(m, n, n)
+        for B in space.basis:
+            P = (B @ Bs).reshape(m, n * n)
+            R = P - (P @ S.conj().T) @ S
+            report["closure_defect"] = max(
+                report["closure_defect"], float(np.linalg.norm(R, axis=1).max())
+            )
     if A.unital:
         report["unital_defect"] = space.residual(np.eye(n)) / np.sqrt(n)
     if A.selfadjoint:

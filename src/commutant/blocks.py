@@ -15,11 +15,17 @@ is the trace-preserving conditional expectation onto the double commutant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, full_matrix_algebra, relative_commutant
+from .algebra import (
+    MatrixAlgebra,
+    block_algebra,
+    block_layout,
+    full_matrix_algebra,
+    relative_commutant,
+)
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig, StructureError
 from .linalg import OperatorSubspace, as_matrix, orthonormalize
 
@@ -33,6 +39,7 @@ class BlockStructure:
     ambient_dim: int
     unitary: np.ndarray
     blocks: tuple  # ((s_1, m_1), (s_2, m_2), ...)
+    _scatter: "_BlockScatter | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         U = as_matrix(self.unitary, dim=self.ambient_dim)
@@ -47,40 +54,37 @@ class BlockStructure:
     def algebra_dim(self) -> int:
         return sum(s * s for s, _ in self.blocks)
 
-    def block_slices(self):
-        """Index ranges of the blocks in the adapted basis."""
-        out, at = [], 0
-        for s, m in self.blocks:
-            out.append(slice(at, at + s * m))
-            at += s * m
-        return out
+    @property
+    def scatter(self) -> "_BlockScatter":
+        """Scatter and gather positions of the blocks, built on first use."""
+        if self._scatter is None:
+            object.__setattr__(self, "_scatter", _BlockScatter(self.blocks))
+        return self._scatter
 
 
 class _BlockScatter:
-    """Scatter and gather positions of a BlockStructure, blocks grouped by shape.
+    """Scatter and gather positions of a block layout, blocks grouped by shape.
 
-    The blocks of one shape (s, m) form a group whose unitaries are held as
-    one (..., K, s, s) array.  flat[g][k, a, b, j] is the position, in the
-    flattened n x n adapted basis, of entry (a, b) of the k-th block of
-    group g on its j-th multiplicity copy, so u tensor I_m lands in place
-    with one fancy-index assignment and a block partial trace is one gather.
+    table is block_layout(blocks).  The blocks of one shape (s, m) form a
+    group whose unitaries are held as one (..., K, s, s) array, and
+    flat[g][k, a, b, j] is the j = l diagonal of the k-th block's table:
+    the position of entry (a, b) of that block on its j-th multiplicity
+    copy.  So u tensor I_m lands in place with one fancy-index assignment
+    and a block partial trace is one gather.
     """
 
-    def __init__(self, st: BlockStructure):
-        n = st.ambient_dim
-        offsets = np.cumsum([0] + [s * m for s, m in st.blocks])
+    def __init__(self, blocks):
+        self.n = sum(s * m for s, m in blocks)
+        self.table = block_layout(blocks)
         members = {}
-        for k, shape in enumerate(st.blocks):
+        for k, shape in enumerate(blocks):
             members.setdefault(shape, []).append(k)
-        self.n = n
+        self.shapes = list(members)
         self.members = list(members.values())
-        self.flat = []
-        for (s, m), ks in members.items():
-            base = offsets[ks][:, None, None, None]
-            j = np.arange(m)
-            rows = base + np.arange(s)[:, None, None] * m + j
-            cols = base + np.arange(s)[None, :, None] * m + j
-            self.flat.append(rows * n + cols)
+        self.flat = [
+            np.stack([np.diagonal(self.table[k], axis1=2, axis2=3) for k in ks])
+            for ks in self.members
+        ]
 
     def group(self, per_block) -> list:
         """Stack per-block (..., s, s) arrays into per-group (..., K, s, s) arrays."""
@@ -260,42 +264,14 @@ def _check_structure(A: MatrixAlgebra, st: BlockStructure, cfg: NumericConfig):
     n = st.ambient_dim
     if np.linalg.norm(U.conj().T @ U - np.eye(n)) > cfg.eq_tol * n:
         raise StructureError("adapted basis is not unitary")
-    slices = st.block_slices()
-    for B in A.basis:
-        Bt = U.conj().T @ B @ U
-        model = np.zeros_like(Bt)
-        for sl, (s, m) in zip(slices, st.blocks):
-            blk = Bt[sl, sl].reshape(s, m, s, m)
-            mean = blk.trace(axis1=1, axis2=3) / m  # average over multiplicity
-            model[sl, sl] = np.einsum(
-                "ik,jl->ijkl", mean, np.eye(m)
-            ).reshape(s * m, s * m)
-        if np.linalg.norm(Bt - model) > cfg.eq_tol * max(1.0, np.linalg.norm(B)):
-            raise StructureError("conjugated basis is not in block form")
-
-
-def block_algebra(blocks, unitary=None) -> MatrixAlgebra:
-    """The algebra (+) M_s tensor I_m in the basis given by `unitary`.
-
-    The stored basis is the normalized matrix units E_ij tensor I_m / sqrt(m),
-    which is already Hilbert-Schmidt orthonormal.
-    """
-    blocks = tuple((int(s), int(m)) for s, m in blocks)
-    n = sum(s * m for s, m in blocks)
-    U = np.eye(n, dtype=np.complex128) if unitary is None else as_matrix(unitary, dim=n)
-    basis = []
-    at = 0
-    for s, m in blocks:
-        for i in range(s):
-            for j in range(s):
-                E = np.zeros((s, s), dtype=np.complex128)
-                E[i, j] = 1.0
-                blk = np.kron(E, np.eye(m)) / np.sqrt(m)
-                full = np.zeros((n, n), dtype=np.complex128)
-                full[at : at + s * m, at : at + s * m] = blk
-                basis.append(U @ full @ U.conj().T)
-        at += s * m
-    return MatrixAlgebra(OperatorSubspace(n, tuple(basis)), True, True)
+    # each conjugated basis element must equal its multiplicity average
+    sc = st.scatter
+    S = A.space.stack
+    Bt = U.conj().T @ S.reshape(-1, n, n) @ U
+    means = [t / m for t, (_, m) in zip(sc.block_traces(Bt), sc.shapes)]
+    defect = np.linalg.norm((Bt - sc.assemble(means)).reshape(len(S), -1), axis=1)
+    if (defect > cfg.eq_tol * np.maximum(1.0, np.linalg.norm(S, axis=1))).any():
+        raise StructureError("conjugated basis is not in block form")
 
 
 def structure_algebra(st: BlockStructure) -> MatrixAlgebra:
@@ -305,9 +281,9 @@ def structure_algebra(st: BlockStructure) -> MatrixAlgebra:
 
 def representative_unitary(st: BlockStructure, block_unitaries) -> np.ndarray:
     """Assemble U (+) ... from per-block s x s unitaries, in ambient coordinates."""
-    layout = _BlockScatter(st)
+    sc = st.scatter
     per_block = [as_matrix(u, dim=s)[None] for (s, _), u in zip(st.blocks, block_unitaries)]
-    Ub = layout.assemble(layout.group(per_block))[0]
+    Ub = sc.assemble(sc.group(per_block))[0]
     return st.unitary @ Ub @ st.unitary.conj().T
 
 
@@ -318,13 +294,13 @@ def block_average(st: BlockStructure, T: np.ndarray) -> np.ndarray:
     I_s tensor (partial trace over the s factor) / s.
     """
     U = st.unitary
-    Tt = U.conj().T @ as_matrix(T, dim=st.ambient_dim) @ U
+    n = st.ambient_dim
+    Tt = (U.conj().T @ as_matrix(T, dim=n) @ U).ravel()
     out = np.zeros_like(Tt)
-    for sl, (s, m) in zip(st.block_slices(), st.blocks):
-        blk = Tt[sl, sl].reshape(s, m, s, m)
-        ptr = np.einsum("ajal->jl", blk) / s
-        out[sl, sl] = np.kron(np.eye(s), ptr)
-    return U @ out @ U.conj().T
+    for (s, _), pos in zip(st.blocks, st.scatter.table):
+        diag = pos[np.arange(s), np.arange(s)]  # (s, m, m): the a = b diagonal
+        out[diag] = Tt[diag].mean(axis=0)
+    return U @ out.reshape(n, n) @ U.conj().T
 
 
 def twirl_expectation(

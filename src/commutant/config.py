@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ class NumericConfig:
     rank_tol: float = 1e-9
     eq_tol: float = 1e-7
     opt_restarts: int = 20
-    opt_max_iters: int = 400
-    opt_step: float = 0.5
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -43,10 +41,8 @@ class NumericConfig:
             raise InvalidInputError(
                 f"need 0 < rank_tol <= eq_tol < 1, got {self.rank_tol}, {self.eq_tol}"
             )
-        if self.opt_restarts < 1 or self.opt_max_iters < 1:
-            raise InvalidInputError("opt_restarts and opt_max_iters must be >= 1")
-        if self.opt_step <= 0:
-            raise InvalidInputError("opt_step must be positive")
+        if self.opt_restarts < 1:
+            raise InvalidInputError("opt_restarts must be >= 1")
 
     def rng(self, *key: int) -> np.random.Generator:
         """Deterministic generator for this config, optionally sub-keyed.
@@ -56,9 +52,6 @@ class NumericConfig:
         serially or in parallel.
         """
         return np.random.default_rng(np.random.SeedSequence((self.rng_seed,) + key))
-
-    def with_seed(self, seed: int) -> "NumericConfig":
-        return replace(self, rng_seed=seed)
 
 
 DEFAULT_CONFIG = NumericConfig()

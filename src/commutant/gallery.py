@@ -17,6 +17,7 @@ import numpy as np
 from .algebra import (
     MatrixAlgebra,
     algebra_from_space,
+    block_algebra,
     double_commutant,
     full_matrix_algebra,
     generate_algebra,
@@ -248,9 +249,7 @@ def paired_copies_report(a, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
         raise InvalidInputError("generator must be self-adjoint")
     k = a.shape[0]
     zero = np.zeros((k, k), dtype=np.complex128)
-    ambient_basis = [direct_sum(_unit(i, j, k), zero) for i in range(k) for j in range(k)]
-    ambient_basis += [direct_sum(zero, _unit(i, j, k)) for i in range(k) for j in range(k)]
-    B = algebra_from_space(orthonormalize(ambient_basis, ambient_dim=2 * k), cfg)
+    B = block_algebra(((k, 1), (k, 1)))
     A = generate_algebra([direct_sum(a, a)], cfg)
     D = double_commutant(A, B, cfg)
     single = generate_algebra([a], cfg, star=True)
@@ -426,18 +425,6 @@ def _summand_menu(rng, cfg: NumericConfig):
     return generate_algebra([H + H.conj().T], cfg, star=True), m
 
 
-def _block_diag_ambient(sizes, cfg: NumericConfig) -> MatrixAlgebra:
-    total = sum(sizes)
-    basis = []
-    offset = 0
-    for m in sizes:
-        for i in range(m):
-            for j in range(m):
-                basis.append(_embed(_unit(i, j, m), offset, total))
-        offset += m
-    return algebra_from_space(orthonormalize(basis, ambient_dim=total), cfg)
-
-
 def _ampliation(A: MatrixAlgebra, k: int, cfg: NumericConfig) -> MatrixAlgebra:
     basis = [
         np.kron(_unit(i, j, k), e) for i in range(k) for j in range(k) for e in A.basis
@@ -473,7 +460,7 @@ def structure_stability_report(
                 basis.extend(_embed(e, offset, total) for e in A.basis)
                 offset += m
             summed = algebra_from_space(orthonormalize(basis, ambient_dim=total), cfg)
-            ambient = _block_diag_ambient(sizes, cfg)
+            ambient = block_algebra([(m, 1) for m in sizes])
             flag, _ = is_normal(summed, ambient, cfg)
             kind = "direct-sum"
             described = [int(m) for m in sizes]
@@ -494,8 +481,7 @@ def structure_stability_report(
                 ebasis.extend(conj(_embed(e, offset, total)) for e in A.basis)
                 offset += m
             E = algebra_from_space(orthonormalize(ebasis, ambient_dim=total), cfg)
-            dbasis = [conj(b) for b in _block_diag_ambient(sizes, cfg).basis]
-            D = algebra_from_space(orthonormalize(dbasis, ambient_dim=total), cfg)
+            D = block_algebra([(m, 1) for m in sizes], U)
             ingredient_ok = ingredient_ok and is_normal(E, D, cfg)[0]
             flag, _ = is_normal(_ampliation(E, k, cfg), _ampliation(D, k, cfg), cfg)
             kind = "ampliation"

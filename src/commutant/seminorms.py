@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import MatrixAlgebra, relative_commutant
-from .blocks import BlockStructure, _BlockScatter, wedderburn
+from .blocks import BlockStructure, wedderburn
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig
 from .linalg import (
     OperatorSubspace,
@@ -42,6 +42,9 @@ from .linalg import (
 
 _DIST_GAP_TOL = 1e-6
 _ZERO_DN = 1e-8
+# polar steps per ascent phase, and the first tangent step length
+_MAX_ITERS = 400
+_STEP0 = 0.5
 
 
 @dataclass(frozen=True)
@@ -306,7 +309,7 @@ def _expi_factory(H: np.ndarray):
     return lambda t: (vecs * np.exp(1j * t * vals)[..., None, :]) @ vecs_h
 
 
-def _polar_phase_batch(Tt: np.ndarray, layout: _BlockScatter, Us, max_iters: int):
+def _polar_phase_batch(Tt: np.ndarray, layout, Us):
     """Monotone polar ascent run on all restarts at once.
 
     Each step re-aligns every restart's block unitaries with its current
@@ -323,7 +326,7 @@ def _polar_phase_batch(Tt: np.ndarray, layout: _BlockScatter, Us, max_iters: int
     u = Vh[:, 0, :].conj()
     stall = np.zeros(R, dtype=int)
     iters = 0
-    while iters < max_iters and (stall < 2).any():
+    while iters < _MAX_ITERS and (stall < 2).any():
         b = np.einsum("ij,rj->ri", Tt, u)
         c = np.einsum("ji,rj->ri", Tt.conj(), w)
         X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
@@ -345,7 +348,7 @@ def _polar_phase_batch(Tt: np.ndarray, layout: _BlockScatter, Us, max_iters: int
     return sigma, Us, iters
 
 
-def _tangent_polish(Tt, layout: _BlockScatter, Us, max_rounds: int, step0: float):
+def _tangent_polish(Tt, layout, Us, max_rounds: int):
     """exp(i t H) ascent along the subgradient from a single restart state.
 
     Us holds one (1, K, s, s) array per block shape.
@@ -353,7 +356,7 @@ def _tangent_polish(Tt, layout: _BlockScatter, Us, max_rounds: int, step0: float
     Ub = layout.assemble(Us)[0]
     F = Ub @ Tt - Tt @ Ub
     sigma, w, u = _top_pair(F)
-    t = step0
+    t = _STEP0
     evals = 0
     for _ in range(max_rounds):
         b = Tt @ u
@@ -383,7 +386,7 @@ def _tangent_polish(Tt, layout: _BlockScatter, Us, max_rounds: int, step0: float
     return sigma, Us, evals
 
 
-def _alternating_polish(Tt, layout, Us, max_iters: int, step0: float, cycles: int = 30):
+def _alternating_polish(Tt, layout, Us, cycles: int = 30):
     """Alternate tangent ascent with polar re-descent until the gain dries up.
 
     The polar phase iteration can stall on creased level sets where the top
@@ -393,8 +396,8 @@ def _alternating_polish(Tt, layout, Us, max_iters: int, step0: float, cycles: in
     value = -np.inf
     evals = 0
     for _ in range(cycles):
-        v_t, Us, ev = _tangent_polish(Tt, layout, Us, 40, step0)
-        v_p, Us, iters = _polar_phase_batch(Tt, layout, Us, max_iters)
+        v_t, Us, ev = _tangent_polish(Tt, layout, Us, 40)
+        v_p, Us, iters = _polar_phase_batch(Tt, layout, Us)
         evals += ev + iters
         new = max(v_t, float(v_p[0]))
         if new - value < 1e-12:
@@ -503,7 +506,7 @@ def derivation_seminorm(
     Tt = W.conj().T @ Tm @ W
     scale = max(1.0, op_norm(Tm))
     R = max(1, cfg.opt_restarts)
-    layout = _BlockScatter(st)
+    layout = st.scatter
     draws = []
     for restart in range(R):
         rng = cfg.rng(205, restart)
@@ -514,16 +517,14 @@ def derivation_seminorm(
             ])
         )
     Us = [np.linalg.qr(np.stack(group))[0] for group in zip(*draws)]
-    sigma, Us, total_iters = _polar_phase_batch(Tt, layout, Us, cfg.opt_max_iters)
+    sigma, Us, total_iters = _polar_phase_batch(Tt, layout, Us)
     order = np.argsort(-sigma)
     value = -np.inf
     best_state = None
     polished = []
     for idx in order[:2]:
         state = [u[idx : idx + 1].copy() for u in Us]
-        val, state, evals = _alternating_polish(
-            Tt, layout, state, cfg.opt_max_iters, cfg.opt_step
-        )
+        val, state, evals = _alternating_polish(Tt, layout, state)
         total_iters += evals
         polished.append(val)
         if val > value:
@@ -534,10 +535,9 @@ def derivation_seminorm(
     upper = _quick_upper(Tm, model)
     details = {"restart_consensus": consensus}
     if compute_upper:
+        # A lies inside A'', so 2 dist(T, A'') is never above 2 dist(T, A)
         rep = dist_opnorm(Tm, model.bicommutant.space, cfg)
         upper = min(upper, 2.0 * rep.value)
-        rep_span = dist_opnorm(Tm, A.space, cfg)
-        upper = min(upper, 2.0 * rep_span.value)
     upper = max(upper, value)
     if not A.selfadjoint:
         details["contraction_sup"] = _contraction_sup(Tm, model, cfg)
@@ -591,7 +591,7 @@ def sampling_seminorm_bound(
         return 0.0
     W = st.unitary
     Tt = W.conj().T @ Tm @ W
-    layout = _BlockScatter(st)
+    layout = st.scatter
     rng = cfg.rng(206)
     best = 0.0
     chunk = 2000

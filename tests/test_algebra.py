@@ -18,7 +18,7 @@ from commutant.algebra import (
 )
 import commutant.algebra as algebra_module
 from commutant.blocks import block_algebra
-from commutant.config import InvalidInputError, NumericConfig
+from commutant.config import InvalidInputError, NumericConfig, ResourceLimitError
 from commutant.linalg import (
     haar_unitary,
     hs_norm,
@@ -196,6 +196,7 @@ class TestGenerateAlgebra:
         assert A.dim == 256
         assert A.space.gram_defect() <= 1e-10
         assert center(A, CFG).dim == 1
+        assert verify_algebra(A, CFG)["passed"]
 
     def test_two_commuting_generators(self):
         D1 = np.diag([1.0, 1.0, 2.0])
@@ -326,3 +327,8 @@ class TestVerifyAlgebra:
     def test_builders_pass(self):
         for A in (full_matrix_algebra(3), diagonal_algebra(4), scalar_algebra(2)):
             assert verify_algebra(A, CFG)["passed"]
+
+    def test_refuses_closure_checks_beyond_the_work_cap(self):
+        # M_20 is 400-dimensional: 400^3 * 20^2 multiply-adds
+        with pytest.raises(ResourceLimitError):
+            verify_algebra(full_matrix_algebra(20), CFG)

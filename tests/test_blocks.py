@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from commutant.algebra import (
+    block_layout,
     diagonal_algebra,
     full_matrix_algebra,
     generate_algebra,
@@ -11,14 +12,16 @@ from commutant.algebra import (
 )
 from commutant.blocks import (
     BlockStructure,
+    _check_structure,
     block_algebra,
+    block_average,
     minimal_central_projections,
     representative_unitary,
     structure_algebra,
     twirl_expectation,
     wedderburn,
 )
-from commutant.config import InvalidInputError, NumericConfig
+from commutant.config import InvalidInputError, NumericConfig, StructureError
 from commutant.linalg import (
     haar_unitaries,
     haar_unitary,
@@ -206,3 +209,102 @@ class TestBlockStructureValidation:
     def test_size_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             BlockStructure(5, np.eye(5), ((2, 1), (1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the block layout against the constructions it replaced
+
+ORACLE_BLOCKS = [((2, 2), (2, 1), (1, 3), (1, 1)), ((3, 1),), ((1, 1),) * 4, ((2, 3), (1, 2))]
+
+
+def matrix_unit(i, j, n):
+    E = np.zeros((n, n), dtype=np.complex128)
+    E[i, j] = 1.0
+    return E
+
+
+def kron_block_algebra_basis(blocks, unitary=None):
+    """Reference: E_ab (x) I_m / sqrt(m) placed block by block with np.kron."""
+    n = sum(s * m for s, m in blocks)
+    U = np.eye(n, dtype=np.complex128) if unitary is None else unitary
+    basis, at = [], 0
+    for s, m in blocks:
+        for a in range(s):
+            for b in range(s):
+                full = np.zeros((n, n), dtype=np.complex128)
+                full[at : at + s * m, at : at + s * m] = np.kron(
+                    matrix_unit(a, b, s), np.eye(m)
+                ) / np.sqrt(m)
+                basis.append(U @ full @ U.conj().T)
+        at += s * m
+    return np.stack(basis)
+
+
+def einsum_block_average(st, T):
+    """Reference twirl: per diagonal block, I_s (x) (trace over the s factor) / s."""
+    U = st.unitary
+    Tt = U.conj().T @ T @ U
+    out = np.zeros_like(Tt)
+    at = 0
+    for s, m in st.blocks:
+        sl = slice(at, at + s * m)
+        ptr = np.einsum("ajal->jl", Tt[sl, sl].reshape(s, m, s, m)) / s
+        out[sl, sl] = np.kron(np.eye(s), ptr)
+        at += s * m
+    return U @ out @ U.conj().T
+
+
+class TestBlockLayout:
+    def test_index_convention(self):
+        first, second = block_layout(((2, 2), (1, 1)))
+        assert first.shape == (2, 2, 2, 2) and second.shape == (1, 1, 1, 1)
+        for a, b, j, l in np.ndindex(2, 2, 2, 2):
+            assert first[a, b, j, l] == (2 * a + j) * 5 + (2 * b + l)
+        assert second[0, 0, 0, 0] == 4 * 5 + 4
+
+    def test_stock_algebras_are_matrix_units(self):
+        for n in (1, 2, 3, 7, 12):
+            full = [matrix_unit(i, j, n) for i in range(n) for j in range(n)]
+            diag = [matrix_unit(i, i, n) for i in range(n)]
+            scalars = [np.eye(n, dtype=np.complex128) / np.sqrt(n)]
+            for A, ref in (
+                (full_matrix_algebra(n), full),
+                (diagonal_algebra(n), diag),
+                (scalar_algebra(n), scalars),
+            ):
+                assert np.array_equal(np.stack(A.basis), np.stack(ref))
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_block_algebra_matches_kron_construction(self, conjugated):
+        rng = np.random.default_rng(47)
+        for blocks in ORACLE_BLOCKS:
+            n = sum(s * m for s, m in blocks)
+            U = haar_unitary(rng, n) if conjugated else None
+            got = np.stack(block_algebra(blocks, U).basis)
+            assert np.array_equal(got, kron_block_algebra_basis(blocks, U))
+
+    def test_block_average_matches_einsum_reference(self):
+        rng = np.random.default_rng(48)
+        for blocks in ORACLE_BLOCKS:
+            n = sum(s * m for s, m in blocks)
+            st = BlockStructure(n, haar_unitary(rng, n), blocks)
+            T = random_matrix(rng, n)
+            assert np.array_equal(block_average(st, T), einsum_block_average(st, T))
+
+    def test_scatter_is_built_once(self):
+        st = BlockStructure(3, np.eye(3), ((1, 2), (1, 1)))
+        assert st.scatter is st.scatter
+
+    def test_structure_check_reads_the_layout(self):
+        rng = np.random.default_rng(49)
+        blocks = ((2, 2), (1, 1))
+        U = haar_unitary(rng, 5)
+        _check_structure(block_algebra(blocks, U), BlockStructure(5, U, blocks), CFG)
+        # M_2 + M_1 has entries off the diagonal of three 1 x 1 blocks
+        with pytest.raises(StructureError):
+            _check_structure(
+                block_algebra(((2, 1), (1, 1))), BlockStructure(3, np.eye(3), ((1, 1),) * 3), CFG
+            )
+        # the masa of M_2 is not constant over one block's two copies
+        with pytest.raises(StructureError):
+            _check_structure(diagonal_algebra(2), BlockStructure(2, np.eye(2), ((1, 2),)), CFG)

@@ -327,6 +327,7 @@ def test_seminorm_chain_and_upper_bound():
     assert abs(dan.value - dn.value) < 1e-12
     assert dn.value <= 2.0 * dd.value + 1e-6
     assert dn.value <= dn.upper_bound + 1e-12
+    assert dn.upper_bound <= 2.0 * dd.value + 1e-6 * max(1.0, op_norm(T))
     assert "mode" in dan.details
 
 
