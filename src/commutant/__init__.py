@@ -61,7 +61,6 @@ from .linalg import (
 from .seminorms import (
     CommutantModel,
     DistanceReport,
-    approx_derivation_seminorm,
     commutant_model,
     composition_inequality_check,
     derivation_seminorm,
@@ -100,7 +99,6 @@ __all__ = [
     "algebra_from_json",
     "algebra_from_space",
     "algebra_to_json",
-    "approx_derivation_seminorm",
     "block_algebra",
     "block_average",
     "canonical_dumps",

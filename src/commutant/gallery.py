@@ -185,8 +185,7 @@ def ramp_shift_report(
     away from the edge and certifies stability by rebuilding at twice the
     truncation dimension: the interior entries do not depend on N at all,
     so the doubling slack is numerically zero.  The raw norm is reported
-    alongside, as is non-certified evidence about the distance to the set
-    of normal matrices (a local upper bound and a commutator heuristic).
+    alongside.
     """
     T = ramp_weighted_shift(n, N)
     raw = float(op_norm(commutator(T, T.conj().T)))
@@ -196,12 +195,6 @@ def ramp_shift_report(
     bound = 2.0 / n
     norm_T = float(op_norm(T))
     passed = slack < 0.02 and interior <= bound + slack and norm_T <= 2.0
-    # distance to normal matrices: nonconvex, no certificate at this scale.
-    # T is strictly lower triangular, so its Schur diagonal is zero and the
-    # nearest-diagonal candidate is the zero matrix; the hermitian part is
-    # the other cheap normal candidate.
-    upper = min(norm_T, float(op_norm((T - T.conj().T) / 2.0)))
-    heuristic_lower = interior / (2.0 * norm_T + 1e-12)
     return {
         "name": "ramp-shift-commutator",
         "n": int(n),
@@ -212,11 +205,6 @@ def ramp_shift_report(
         "doubling_slack": float(slack),
         "bound": float(bound),
         "passed": bool(passed),
-        "normal_distance_evidence": {
-            "certified": False,
-            "local_upper_bound": float(upper),
-            "commutator_heuristic_lower": float(heuristic_lower),
-        },
         "claim": "interior commutator norm at most 2/n, stable under doubling the truncation",
     }
 

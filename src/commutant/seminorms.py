@@ -20,7 +20,13 @@ Two optimization problems live here:
   (closed forms for s = 1), and assembly is a single precomputed scatter.
   The sup over contractions is attained on unitaries because the objective
   is convex and the unitaries are the extreme points of the unit ball of a
-  finite-dimensional C*-algebra.
+  finite-dimensional C*-algebra.  Every unitary of the commutant commutes
+  with the double commutant A'', so ||UT - TU|| <= 2 dist(T, A''): the
+  ascent's witness and that distance bracket the seminorm.
+
+Every report is a bracket [lower_bound, upper_bound] around its value, and
+converged means one thing throughout: the bracket is at most 1e-6 wide
+relative to max(1, ||T||).
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .linalg import (
     subspace_contains,
 )
 
-_DIST_GAP_TOL = 1e-6
+_GAP_TOL = 1e-6
 _ZERO_DN = 1e-8
 # polar steps per ascent phase, and the first tangent step length
 _MAX_ITERS = 400
@@ -62,6 +68,14 @@ class DistanceReport:
     @property
     def gap(self) -> float:
         return self.upper_bound - self.lower_bound
+
+
+def _report(value, witness, lower, upper, iterations, scale, details=None) -> DistanceReport:
+    """A report whose converged flag is the certified bracket closing."""
+    return DistanceReport(
+        float(value), witness, float(lower), float(upper), iterations,
+        bool(upper - lower <= _GAP_TOL * scale), details or {},
+    )
 
 
 @dataclass(frozen=True)
@@ -254,15 +268,16 @@ def dist_opnorm(
     dual certificate from the barrier's final inverse, and converged means
     the certified gap between the two is at most 1e-6 relative to
     max(1, ||T||).  If the barrier breaks down, the report carries the
-    projection of T as witness, lower_bound 0 and converged False.  cfg is
-    accepted for a uniform signature; the barrier needs no settings.
+    projection of T as witness and lower_bound 0, so it is converged only
+    when that value is itself within the tolerance.  cfg is accepted for a
+    uniform signature; the barrier needs no settings.
     """
     A = as_matrix(T, dim=V.ambient_dim)
     n = V.ambient_dim
     scale = max(1.0, op_norm(A))
     if V.dim == 0:
         val = op_norm(A)
-        return DistanceReport(val, np.zeros((n, n)), val, val, 0, True)
+        return _report(val, np.zeros((n, n)), val, val, 0, scale)
     stack = V.stack
     x0 = V.coeffs(A)
     out = _barrier_solve(A.ravel(), stack, n, x0, scale)
@@ -273,9 +288,7 @@ def dist_opnorm(
         lower = _bound_from_Z(A, V, P12)
     witness = (stack.T @ x).reshape(n, n)
     val = op_norm(A - witness)
-    lower = min(lower, val)
-    converged = out is not None and (val - lower) <= _DIST_GAP_TOL * scale
-    return DistanceReport(val, witness, lower, val, iterations, bool(converged))
+    return _report(val, witness, min(lower, val), val, iterations, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +420,6 @@ def _alternating_polish(Tt, layout, Us, cycles: int = 30):
     return value, Us, evals
 
 
-def _quick_upper(T, model: CommutantModel) -> float:
-    resid = T - model.bicommutant.space.project(T)
-    return 2.0 * op_norm(resid)
-
-
 def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
     """Heuristic sup of ||WT - TW|| over contractions in the span commutant.
 
@@ -485,26 +493,30 @@ def derivation_seminorm(
 ) -> DistanceReport:
     """sup ||UT - TU|| over unitaries U in the commutant of A inside ambient.
 
-    Vanishes exactly on the double commutant.  For a non-selfadjoint A the
-    unitary group used is that of the commutant of A together with its
-    adjoints, and the report's details carry a separately estimated sup
-    over contractions of the plain commutant.
+    Vanishes exactly on the double commutant.  The report is a bracket:
+    lower_bound is the value of the ascent's witness unitary, and
+    upper_bound is 2 dist(T, A'') from the certified distance, or with
+    compute_upper=False the cheaper 2 ||T - P T|| for the orthogonal
+    projection P onto A''.  converged means the bracket closed to 1e-6
+    relative to max(1, ||T||); details["restart_consensus"] counts the
+    starts that reached the best value, as a diagnostic only.  For a
+    non-selfadjoint A the unitary group used is that of the commutant of A
+    together with its adjoints, and the details carry a separately
+    estimated sup over contractions of the plain commutant.
     """
     if model is None:
         model = commutant_model(A, ambient, cfg)
     Tm = as_matrix(T, dim=ambient.ambient_dim)
     st = model.structure
+    scale = max(1.0, op_norm(Tm))
     if model.trivial:
         n = ambient.ambient_dim
         details = {"restart_consensus": cfg.opt_restarts}
         if not A.selfadjoint:
             details["contraction_sup"] = _contraction_sup(Tm, model, cfg)
-        return DistanceReport(
-            0.0, np.eye(n, dtype=np.complex128), 0.0, 0.0, 0, True, details
-        )
+        return _report(0.0, np.eye(n, dtype=np.complex128), 0.0, 0.0, 0, scale, details)
     W = st.unitary
     Tt = W.conj().T @ Tm @ W
-    scale = max(1.0, op_norm(Tm))
     R = max(1, cfg.opt_restarts)
     layout = st.scatter
     draws = []
@@ -530,45 +542,16 @@ def derivation_seminorm(
         if val > value:
             value, best_state = val, state
     votes = np.concatenate([sigma, np.asarray(polished)])
-    consensus = int(np.sum(value - votes <= 1e-6 * scale))
+    details = {"restart_consensus": int(np.sum(value - votes <= _GAP_TOL * scale))}
     witness = W @ layout.assemble(best_state)[0] @ W.conj().T
-    upper = _quick_upper(Tm, model)
-    details = {"restart_consensus": consensus}
+    # every U in the commutant commutes with A'', so ||UT - TU|| <= 2 ||T - a||
     if compute_upper:
-        # A lies inside A'', so 2 dist(T, A'') is never above 2 dist(T, A)
-        rep = dist_opnorm(Tm, model.bicommutant.space, cfg)
-        upper = min(upper, 2.0 * rep.value)
-    upper = max(upper, value)
+        upper = 2.0 * dist_opnorm(Tm, model.bicommutant.space, cfg).value
+    else:
+        upper = 2.0 * op_norm(Tm - model.bicommutant.space.project(Tm))
     if not A.selfadjoint:
         details["contraction_sup"] = _contraction_sup(Tm, model, cfg)
-    converged = consensus >= min(2, cfg.opt_restarts)
-    return DistanceReport(
-        float(value), witness, float(value), float(upper), total_iters,
-        bool(converged), details,
-    )
-
-
-def approx_derivation_seminorm(
-    T,
-    A: MatrixAlgebra,
-    ambient: MatrixAlgebra,
-    cfg: NumericConfig = DEFAULT_CONFIG,
-    model: CommutantModel | None = None,
-    compute_upper: bool = True,
-) -> DistanceReport:
-    """Net version of the derivation seminorm.
-
-    In finite dimensions the unit ball of the commutant is compact, so any
-    asymptotically commuting net has commuting cluster points and the net
-    seminorm collapses to the plain one; the report records that reading.
-    """
-    rep = derivation_seminorm(T, A, ambient, cfg, model, compute_upper)
-    details = dict(rep.details)
-    details["mode"] = "net seminorm; equals the single-commutant value in finite dimension"
-    return DistanceReport(
-        rep.value, rep.witness, rep.lower_bound, rep.upper_bound,
-        rep.iterations, rep.converged, details,
-    )
+    return _report(value, witness, value, max(upper, value), total_iters, scale, details)
 
 
 def sampling_seminorm_bound(
@@ -607,6 +590,21 @@ def sampling_seminorm_bound(
     return best
 
 
+def _sampled_pairs(
+    A: MatrixAlgebra, ambient: MatrixAlgebra, count: int, key: int, cfg: NumericConfig
+):
+    """Yield (seminorm, distance) reports for seeded unit-Frobenius T in ambient."""
+    model = commutant_model(A, ambient, cfg)
+    Bs = np.stack(ambient.basis)
+    for i in range(count):
+        rng = cfg.rng(key, i)
+        coeff = rng.standard_normal(ambient.dim) + 1j * rng.standard_normal(ambient.dim)
+        T = np.tensordot(coeff, Bs, axes=1)
+        T = T / np.linalg.norm(T)
+        dn = derivation_seminorm(T, A, ambient, cfg, model, compute_upper=False)
+        yield dn, dist_opnorm(T, A.space, cfg)
+
+
 def kn_lower_estimate(
     A: MatrixAlgebra,
     ambient: MatrixAlgebra,
@@ -619,16 +617,8 @@ def kn_lower_estimate(
     the worst dist/seminorm ratio.  A sample with vanishing seminorm but
     positive distance shows A is not normal; the estimate is then infinite.
     """
-    model = commutant_model(A, ambient, cfg)
     best = 0.0
-    Bs = np.stack(ambient.basis)
-    for i in range(num_samples):
-        rng = cfg.rng(208, i)
-        coeff = rng.standard_normal(ambient.dim) + 1j * rng.standard_normal(ambient.dim)
-        T = np.tensordot(coeff, Bs, axes=1)
-        T = T / np.linalg.norm(T)
-        dn = derivation_seminorm(T, A, ambient, cfg, model, compute_upper=False)
-        dist = dist_opnorm(T, A.space, cfg)
+    for dn, dist in _sampled_pairs(A, ambient, num_samples, 208, cfg):
         if dn.value < _ZERO_DN:
             if dist.value > cfg.eq_tol:
                 return float("inf")
@@ -655,17 +645,9 @@ def composition_inequality_check(
     if not (subspace_contains(D.space, A.space, cfg) and subspace_contains(ambient.space, D.space, cfg)):
         raise InvalidInputError("need nested algebras A inside D inside ambient")
     coeff = k_db + k_ad * (2.0 * k_db + 1.0)
-    model = commutant_model(A, ambient, cfg)
     violations = 0
     max_ratio = 0.0
-    Bs = np.stack(ambient.basis)
-    for i in range(samples):
-        rng = cfg.rng(209, i)
-        c = rng.standard_normal(ambient.dim) + 1j * rng.standard_normal(ambient.dim)
-        T = np.tensordot(c, Bs, axes=1)
-        T = T / np.linalg.norm(T)
-        dn = derivation_seminorm(T, A, ambient, cfg, model, compute_upper=False)
-        dist = dist_opnorm(T, A.space, cfg)
+    for dn, dist in _sampled_pairs(A, ambient, samples, 209, cfg):
         bound = coeff * dn.value + cfg.eq_tol
         if dist.value > bound:
             violations += 1

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import MatrixAlgebra, algebra_from_space
 from .blocks import BlockStructure
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig
-from .linalg import OperatorSubspace, as_matrix, op_norm
+from .linalg import OperatorSubspace, as_matrix, op_norm, orthonormalize
 from .seminorms import DistanceReport
 
 __all__ = [
@@ -119,8 +119,6 @@ def algebra_from_json(obj, cfg: NumericConfig = DEFAULT_CONFIG) -> MatrixAlgebra
     if mats and op_norm(gram - np.eye(len(mats))) <= 1e-9:
         space = OperatorSubspace(n, tuple(mats))
     else:
-        from .linalg import orthonormalize
-
         space = orthonormalize(mats, cfg, ambient_dim=n)
     A = algebra_from_space(space, cfg)
     _require(

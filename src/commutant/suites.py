@@ -45,7 +45,6 @@ from .linalg import (
     subspace_distance,
 )
 from .seminorms import (
-    approx_derivation_seminorm,
     commutant_model,
     derivation_seminorm,
     dist_opnorm,
@@ -335,11 +334,8 @@ def _law_instance(cfg: NumericConfig, i: int) -> bool:
     ok = vs <= v1 + v2 + tol
     ok = ok and abs(dn(c * T1) - abs(c) * v1) <= tol
     ok = ok and abs(dn(T1.conj().T) - v1) <= tol
-    dan = approx_derivation_seminorm(
-        T1, A, ambient, cfg, model=model, compute_upper=False
-    ).value
     dist = dist_opnorm(T1, A.space, cfg).value
-    ok = ok and v1 <= dan + 1e-12 and dan <= 2.0 * dist + 1e-6
+    ok = ok and v1 <= 2.0 * dist + 1e-6
     # zero characterization: bicommutant elements are seminorm-null, and a
     # seminorm above 2e-6 forces a genuinely positive distance
     coeffs = rng.standard_normal(model.bicommutant.dim) + 1j * rng.standard_normal(

@@ -158,6 +158,20 @@ def test_uncertified_distance_exits_three(capsys, monkeypatch, tmp_path):
     assert out["result"]["report"]["converged"] is False
 
 
+def test_open_seminorm_bracket_exits_three(capsys, tmp_path):
+    # the masa ascent's value stays below 2 dist(T, A''): the bracket is open
+    rng = np.random.default_rng(17)
+    T = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    tpath = write_json(tmp_path / "t.json", matrix_to_json(T))
+    code, out = run_cli(
+        capsys, "dn", "--t", tpath, "--algebra", "diag:5", "--ambient", "full:5"
+    )
+    assert code == 3
+    report = out["result"]["report"]
+    assert report["converged"] is False
+    assert report["lower"] == report["value"] < report["upper"]
+
+
 def test_missing_input_file_exits_two(capsys):
     code = main(["dist", "--t", "does-not-exist.json", "--space", "scalars:2"])
     assert code == 2

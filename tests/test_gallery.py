@@ -1,8 +1,14 @@
 """Gallery constructions against hand-built and brute-force oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import commutant
 from commutant.algebra import (
     diagonal_algebra,
     full_matrix_algebra,
@@ -138,9 +144,21 @@ class TestRampShift:
         assert rep["passed"]
         assert rep["doubling_slack"] < 1e-12
         assert rep["interior_commutator_norm"] <= rep["bound"] + rep["doubling_slack"]
-        assert not rep["normal_distance_evidence"]["certified"]
-        ev = rep["normal_distance_evidence"]
-        assert 0.0 < ev["commutator_heuristic_lower"] <= ev["local_upper_bound"] <= 1.0 + 1e-12
+
+    def test_report_is_independent_of_blas_threads(self):
+        src = str(Path(commutant.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "commutant.cli", "gallery",
+                 "--items", "ramp-shift-commutator"],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert b"ramp-shift-commutator" in outputs[0]
 
     def test_truncation_headroom_enforced(self):
         with pytest.raises(InvalidInputError):
