@@ -28,6 +28,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, DIM_CAP, InvalidInputError, NumericConfig, ResourceLimitError
 from .linalg import (
     OperatorSubspace,
+    as_matrices,
     as_matrix,
     hs_norm,
     orthonormalize,
@@ -60,7 +61,7 @@ class MatrixAlgebra:
         return self.space.dim
 
     @property
-    def basis(self) -> tuple:
+    def basis(self) -> np.ndarray:
         return self.space.basis
 
 
@@ -105,7 +106,7 @@ def block_algebra(blocks, unitary=None) -> MatrixAlgebra:
     if unitary is not None:
         U = as_matrix(unitary, dim=n)
         basis = U @ basis @ U.conj().T
-    return MatrixAlgebra(OperatorSubspace(n, tuple(basis)), True, True)
+    return MatrixAlgebra(OperatorSubspace(n, basis), True, True)
 
 
 def full_matrix_algebra(n: int) -> MatrixAlgebra:
@@ -133,7 +134,7 @@ def algebra_from_space(
 
 
 def _adjoint_closed(space: OperatorSubspace, cfg: NumericConfig) -> bool:
-    adjoints = OperatorSubspace(space.ambient_dim, tuple(B.conj().T for B in space.basis))
+    adjoints = OperatorSubspace(space.ambient_dim, space.basis.conj().transpose(0, 2, 1))
     return subspace_contains(space, adjoints, cfg)
 
 
@@ -180,18 +181,17 @@ def generate_algebra(
         svals, Vh = rank_svd(P)
         frontier = Vh[: int(np.sum(svals > cut))]
         Q = np.vstack([Q, frontier])
-    space = OperatorSubspace(n, tuple(Q.reshape(-1, n, n)))
+    space = OperatorSubspace(n, Q.reshape(-1, n, n))
     selfadjoint = star or _adjoint_closed(space, cfg)
     is_unital = unital or space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
     return MatrixAlgebra(space, is_unital, selfadjoint)
 
 
-def _commuted_set(S) -> list:
-    if isinstance(S, MatrixAlgebra):
-        return list(S.basis)
-    if isinstance(S, OperatorSubspace):
-        return list(S.basis)
-    return [as_matrix(M) for M in S]
+def _commuted_set(S, n: int) -> np.ndarray:
+    """The (k, n, n) stack of the matrices to commute with."""
+    if isinstance(S, (MatrixAlgebra, OperatorSubspace)):
+        S = S.basis
+    return as_matrices(S, n)
 
 
 def _commutator_system(mats: np.ndarray, Bstack: np.ndarray) -> np.ndarray:
@@ -215,24 +215,22 @@ def relative_commutant(
     system.  The nullspace basis returned by the SVD is orthonormal in
     coordinates, hence Hilbert-Schmidt orthonormal as matrices.
     """
-    mats = _commuted_set(S)
     n = ambient.ambient_dim
-    mats = [as_matrix(M, dim=n) for M in mats]
+    A = _commuted_set(S, n)
     m = ambient.dim
     if m == 0:
         return MatrixAlgebra(OperatorSubspace(n, ()), False, ambient.selfadjoint)
-    Bstack = np.stack(ambient.basis)
+    Bstack = ambient.basis
     X = Bstack
-    if mats:
-        A = np.stack(mats)
-        count = len(mats)
+    count = len(A)
+    if count:
         k = min(count, _COMMUTANT_PROBES)
         rng = cfg.rng(111)
         # variance 1/k per coefficient: the probes' Gram matrix then matches
         # the whole set's in expectation, so the rank cut keeps its scale
         coeff = rng.standard_normal((k, count)) + 1j * rng.standard_normal((k, count))
         system = np.tensordot(coeff / np.sqrt(2 * k), A, axes=1)
-        norm_max = max(np.linalg.norm(M) for M in mats)
+        norm_max = max(np.linalg.norm(M) for M in A)
         joined = np.zeros(count, dtype=bool)
         while True:
             # rows >= m always (m <= n^2), so economy Vh still carries all m rows
@@ -248,8 +246,8 @@ def relative_commutant(
                 break
             joined |= failed
             system = np.concatenate([system, A[failed]])
-    space = OperatorSubspace(n, tuple(X))
-    span = S.space if isinstance(S, MatrixAlgebra) else orthonormalize(mats, cfg, ambient_dim=n)
+    space = OperatorSubspace(n, X)
+    span = S.space if isinstance(S, MatrixAlgebra) else orthonormalize(A, cfg, ambient_dim=n)
     selfadjoint = ambient.selfadjoint and _adjoint_closed(span, cfg)
     unital = ambient.unital or space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
     return MatrixAlgebra(space, unital, selfadjoint)
@@ -322,9 +320,8 @@ def verify_algebra(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> dic
             )
         # one left factor at a time: B_i times the whole basis, one residual
         S = space.stack
-        Bs = S.reshape(m, n, n)
         for B in space.basis:
-            P = (B @ Bs).reshape(m, n * n)
+            P = (B @ space.basis).reshape(m, n * n)
             R = P - (P @ S.conj().T) @ S
             report["closure_defect"] = max(
                 report["closure_defect"], float(np.linalg.norm(R, axis=1).max())

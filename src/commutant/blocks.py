@@ -23,6 +23,7 @@ from .algebra import (
     MatrixAlgebra,
     block_algebra,
     block_layout,
+    center,
     full_matrix_algebra,
     relative_commutant,
 )
@@ -39,7 +40,7 @@ class BlockStructure:
     ambient_dim: int
     unitary: np.ndarray
     blocks: tuple  # ((s_1, m_1), (s_2, m_2), ...)
-    _scatter: "_BlockScatter | None" = field(default=None, repr=False, compare=False)
+    scatter: "_BlockScatter" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         U = as_matrix(self.unitary, dim=self.ambient_dim)
@@ -49,17 +50,11 @@ class BlockStructure:
         object.__setattr__(self, "blocks", tuple((int(s), int(m)) for s, m in self.blocks))
         if sum(s * m for s, m in self.blocks) != self.ambient_dim:
             raise InvalidInputError("block sizes do not sum to the ambient dimension")
+        object.__setattr__(self, "scatter", _BlockScatter(self.blocks))
 
     @property
     def algebra_dim(self) -> int:
         return sum(s * s for s, _ in self.blocks)
-
-    @property
-    def scatter(self) -> "_BlockScatter":
-        """Scatter and gather positions of the blocks, built on first use."""
-        if self._scatter is None:
-            object.__setattr__(self, "_scatter", _BlockScatter(self.blocks))
-        return self._scatter
 
 
 class _BlockScatter:
@@ -141,19 +136,17 @@ def minimal_central_projections(
     Uses the spectral clusters of a random selfadjoint central element;
     degenerate draws (clusters not separated) are redrawn.
     """
-    from .algebra import center as center_of
-
     if not (A.selfadjoint and A.unital):
         raise InvalidInputError("central projections need a selfadjoint unital algebra")
     n = A.ambient_dim
-    Z = center_of(A, cfg)
+    Z = center(A, cfg)
     c = Z.dim
     if c == 1:
         return [np.eye(n, dtype=np.complex128)]
     for attempt in range(_REDRAWS):
         rng = cfg.rng(101, attempt)
         coeff = rng.standard_normal(c) + 1j * rng.standard_normal(c)
-        H = np.tensordot(coeff, np.stack(Z.basis), axes=1)
+        H = np.tensordot(coeff, Z.basis, axes=1)
         H = H + H.conj().T
         vals, vecs = np.linalg.eigh(H)
         groups = _cluster_sorted(vals, c)
@@ -169,7 +162,7 @@ def minimal_central_projections(
     raise StructureError("could not separate the central spectrum")
 
 
-def _range_columns(P: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+def _range_columns(P: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(P)
     keep = vals > 0.5
     return vecs[:, keep]
@@ -177,7 +170,7 @@ def _range_columns(P: np.ndarray, cfg: NumericConfig) -> np.ndarray:
 
 def _generic_selfadjoint(space: OperatorSubspace, rng) -> np.ndarray:
     coeff = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    X = np.tensordot(coeff, np.stack(space.basis), axes=1)
+    X = np.tensordot(coeff, space.basis, axes=1)
     return X + X.conj().T
 
 
@@ -200,11 +193,8 @@ def _factor_adapted_unitary(comp: OperatorSubspace, s: int, m: int, cfg: Numeric
         if groups is None or any(g.size != m for g in groups):
             continue
         E = [vecs[:, g] for g in groups]  # d x m column blocks
-        G = np.tensordot(
-            rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim),
-            np.stack(comp.basis),
-            axes=1,
-        )
+        coeff = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
+        G = np.tensordot(coeff, comp.basis, axes=1)
         cols = [E[0]]
         ok = True
         for i in range(1, s):
@@ -236,7 +226,7 @@ def wedderburn(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> BlockSt
     projs = minimal_central_projections(A, cfg)
     pieces = []
     for k, P in enumerate(projs):
-        V = _range_columns(P, cfg)
+        V = _range_columns(P)
         d = V.shape[1]
         comp = orthonormalize([V.conj().T @ B @ V for B in A.basis], cfg)
         s = int(round(np.sqrt(comp.dim)))
@@ -267,7 +257,7 @@ def _check_structure(A: MatrixAlgebra, st: BlockStructure, cfg: NumericConfig):
     # each conjugated basis element must equal its multiplicity average
     sc = st.scatter
     S = A.space.stack
-    Bt = U.conj().T @ S.reshape(-1, n, n) @ U
+    Bt = U.conj().T @ A.basis @ U
     means = [t / m for t, (_, m) in zip(sc.block_traces(Bt), sc.shapes)]
     defect = np.linalg.norm((Bt - sc.assemble(means)).reshape(len(S), -1), axis=1)
     if (defect > cfg.eq_tol * np.maximum(1.0, np.linalg.norm(S, axis=1))).any():

@@ -43,6 +43,8 @@ class NumericConfig:
             )
         if self.opt_restarts < 1:
             raise InvalidInputError("opt_restarts must be >= 1")
+        if self.rng_seed < 0:
+            raise InvalidInputError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     def rng(self, *key: int) -> np.random.Generator:
         """Deterministic generator for this config, optionally sub-keyed.

@@ -327,8 +327,8 @@ def commutative_normality_scan(
         base = seeds[0]
         for c in range(conjugates):
             U = haar_unitary(cfg.rng(305, c), 4)
-            basis = [U @ Bm @ U.conj().T for Bm in base.basis]
-            seeds.append(algebra_from_space(orthonormalize(basis, ambient_dim=4), cfg))
+            conjugated = U @ base.basis @ U.conj().T
+            seeds.append(algebra_from_space(orthonormalize(conjugated, ambient_dim=4), cfg))
         for A in seeds:
             flag, _ = is_normal(A, ambient, cfg)
             injected += 1

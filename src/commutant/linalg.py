@@ -8,7 +8,7 @@ vector sense and subspace projections reduce to BLAS calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +27,21 @@ def as_matrix(M, dim: int | None = None) -> np.ndarray:
         raise InvalidInputError("matrix has non-finite entries")
     if dim is not None and A.shape[0] != dim:
         raise InvalidInputError(f"expected dimension {dim}, got {A.shape[0]}")
+    return A
+
+
+def as_matrices(mats, dim: int) -> np.ndarray:
+    """Validate and copy a sequence of dim x dim matrices into a (k, dim, dim) array."""
+    try:
+        A = np.array(mats, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise InvalidInputError("expected a sequence of equal-shape matrices") from None
+    if A.shape == (0,):
+        A = A.reshape(0, dim, dim)
+    if A.shape[1:] != (dim, dim):
+        raise InvalidInputError(f"expected a stack of {dim} x {dim} matrices, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise InvalidInputError("matrix has non-finite entries")
     return A
 
 
@@ -51,10 +66,6 @@ def commutator(X, Y) -> np.ndarray:
     return A @ B - B @ A
 
 
-def kron(X, Y) -> np.ndarray:
-    return np.kron(as_matrix(X), as_matrix(Y))
-
-
 def direct_sum(*mats) -> np.ndarray:
     """Block-diagonal direct sum of square matrices."""
     blocks = [as_matrix(M) for M in mats]
@@ -70,29 +81,25 @@ def direct_sum(*mats) -> np.ndarray:
     return out
 
 
-def _frozen(A: np.ndarray) -> np.ndarray:
-    B = np.array(A, dtype=np.complex128)
-    B.flags.writeable = False
-    return B
-
-
 @dataclass(frozen=True)
 class OperatorSubspace:
     """A linear subspace of n x n matrices with a stored orthonormal basis.
 
-    The basis is Hilbert-Schmidt orthonormal by construction; use
+    basis is one read-only complex (dim, n, n) array, built from any
+    sequence of n x n matrices, and stack is its (dim, n^2) view.  The
+    basis is Hilbert-Schmidt orthonormal by construction; use
     orthonormalize() to build one from arbitrary spanning matrices.
     """
 
     ambient_dim: int
-    basis: tuple = ()
-    _stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+    basis: np.ndarray = ()
 
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise InvalidInputError("ambient_dim must be >= 1")
-        mats = tuple(_frozen(as_matrix(B, dim=self.ambient_dim)) for B in self.basis)
-        object.__setattr__(self, "basis", mats)
+        B = as_matrices(self.basis, self.ambient_dim)
+        B.flags.writeable = False
+        object.__setattr__(self, "basis", B)
 
     @property
     def dim(self) -> int:
@@ -100,17 +107,8 @@ class OperatorSubspace:
 
     @property
     def stack(self) -> np.ndarray:
-        """(dim, n^2) array whose rows are vec() of the basis elements."""
-        if self._stack is None:
-            n = self.ambient_dim
-            S = (
-                np.stack([B.ravel() for B in self.basis])
-                if self.basis
-                else np.zeros((0, n * n), dtype=np.complex128)
-            )
-            S.flags.writeable = False
-            object.__setattr__(self, "_stack", S)
-        return self._stack
+        """(dim, n^2) view of the basis whose rows are vec() of its elements."""
+        return self.basis.reshape(self.dim, self.ambient_dim**2)
 
     def coeffs(self, T) -> np.ndarray:
         """Coordinates <T, B_i> of the projection of T onto this subspace."""
@@ -130,7 +128,7 @@ class OperatorSubspace:
 
     def gram_defect(self) -> float:
         """Max-abs deviation of the basis Gram matrix from the identity."""
-        if not self.basis:
+        if not self.dim:
             return 0.0
         G = self.stack.conj() @ self.stack.T
         return float(np.max(np.abs(G - np.eye(self.dim))))
@@ -167,16 +165,13 @@ def orthonormalize(
         if ambient_dim is None:
             raise InvalidInputError("ambient_dim required for an empty span")
         return OperatorSubspace(ambient_dim, ())
-    arrs = [as_matrix(M, dim=ambient_dim) for M in mats]
-    n = arrs[0].shape[0]
-    arrs = [as_matrix(M, dim=n) for M in arrs]
-    V = np.stack([A.ravel() for A in arrs])
+    n = as_matrix(mats[0], dim=ambient_dim).shape[0]
+    V = np.stack([as_matrix(M, dim=n).ravel() for M in mats])
     svals, Vh = rank_svd(V)
     if svals.size == 0 or svals[0] <= 0:
         return OperatorSubspace(n, ())
     rank = int(np.sum(svals > cfg.rank_tol * svals[0]))
-    basis = tuple(Vh[i].reshape(n, n) for i in range(rank))
-    return OperatorSubspace(n, basis)
+    return OperatorSubspace(n, Vh[:rank].reshape(rank, n, n))
 
 
 def subspace_contains(

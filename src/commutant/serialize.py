@@ -114,11 +114,9 @@ def algebra_from_json(obj, cfg: NumericConfig = DEFAULT_CONFIG) -> MatrixAlgebra
     mats = [matrix_from_json(m) for m in obj["basis"]]
     for M in mats:
         _require(M.shape[0] == n, "basis matrix dimension differs from ambient_dim")
-    stack = np.stack(mats) if mats else np.zeros((0, n, n))
-    gram = np.einsum("aij,bij->ab", stack.conj(), stack)
-    if mats and op_norm(gram - np.eye(len(mats))) <= 1e-9:
-        space = OperatorSubspace(n, tuple(mats))
-    else:
+    space = OperatorSubspace(n, mats)
+    gram = np.einsum("aij,bij->ab", space.basis.conj(), space.basis)
+    if space.dim and op_norm(gram - np.eye(space.dim)) > 1e-9:
         space = orthonormalize(mats, cfg, ambient_dim=n)
     A = algebra_from_space(space, cfg)
     _require(

@@ -265,18 +265,15 @@ def _criterion_9(seed: int) -> dict:
     }
 
 
-def _oracle_instance_algebra(rng, n: int, kind: int, cfg: NumericConfig):
-    # full-ball commutants are sampled only at block size two: ten thousand
-    # Haar draws cover the unitary group of a 2x2 block to well under the
-    # two-percent agreement bar, but leave about three percent uncovered
-    # for a full 3x3 block
-    if kind == 0 and n == 2:
+def _menu_algebra(rng, n: int, kind: int, cfg: NumericConfig):
+    """Kind 0..3: the scalars, the masa, a polynomial or a *-polynomial algebra."""
+    if kind == 0:
         return scalar_algebra(n)
     if kind == 1:
         return diagonal_algebra(n)
-    if kind == 3:
-        return generate_algebra([random_hermitian(rng, n)], cfg, star=True)
-    return generate_algebra([random_matrix(rng, n)], cfg)
+    if kind == 2:
+        return generate_algebra([random_matrix(rng, n)], cfg)
+    return generate_algebra([random_hermitian(rng, n)], cfg, star=True)
 
 
 def _criterion_10(seed: int) -> dict:
@@ -286,7 +283,12 @@ def _criterion_10(seed: int) -> dict:
     for i in range(50):
         rng = cfg.rng(510, i)
         n = 2 if i < 25 else 3
-        A = _oracle_instance_algebra(rng, n, i % 4, cfg)
+        # full-ball commutants are sampled only at block size two: ten thousand
+        # Haar draws cover the unitary group of a 2x2 block to well under the
+        # two-percent agreement bar, but leave about three percent uncovered
+        # for a full 3x3 block
+        kind = 2 if (n, i % 4) == (3, 0) else i % 4
+        A = _menu_algebra(rng, n, kind, cfg)
         ambient = full_matrix_algebra(n)
         T = random_matrix(rng, n)
         dn = derivation_seminorm(T, A, ambient, cfg, compute_upper=False).value
@@ -309,15 +311,7 @@ def _criterion_10(seed: int) -> dict:
 def _law_instance(cfg: NumericConfig, i: int) -> bool:
     rng = cfg.rng(511, i)
     n = 2 + (i % 2)
-    kind = (i // 2) % 4
-    if kind == 0:
-        A = scalar_algebra(n)
-    elif kind == 1:
-        A = diagonal_algebra(n)
-    elif kind == 2:
-        A = generate_algebra([random_matrix(rng, n)], cfg)
-    else:
-        A = generate_algebra([random_hermitian(rng, n)], cfg, star=True)
+    A = _menu_algebra(rng, n, (i // 2) % 4, cfg)
     ambient = full_matrix_algebra(n)
     model = commutant_model(A, ambient, cfg)
     T1, T2 = random_matrix(rng, n), random_matrix(rng, n)

@@ -139,6 +139,26 @@ def test_size_beyond_cap_exits_two_without_traceback(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["center", "--algebra", "full:3", "--seed", "-1"],
+        ["kn", "--algebra", "diag:2", "--ambient", "full:2", "--seed", "-2"],
+        ["gallery", "--items", "corner-traceless-4x4", "--seed", "-1"],
+        ["suite", "invariants", "--seed", "-1"],
+        ["kn", "--algebra", "diag:2", "--ambient", "full:2", "--samples", "0"],
+        ["kn", "--algebra", "diag:2", "--ambient", "full:2", "--samples", "-3"],
+    ],
+)
+def test_negative_seed_or_no_samples_exits_two_without_traceback(capsys, argv):
+    code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_uncertified_structure_exits_three(capsys, monkeypatch):
     def uncertified(A, cfg):
         raise StructureError("could not separate the central spectrum")

@@ -11,7 +11,6 @@ from commutant.linalg import (
     haar_unitary,
     hs_inner,
     hs_norm,
-    kron,
     op_norm,
     orthonormalize,
     random_matrix,
@@ -118,12 +117,6 @@ class TestSums:
         np.testing.assert_allclose(S[:3, :3], A)
         np.testing.assert_allclose(S[3:, 3:], B)
         assert op_norm(S) == pytest.approx(max(op_norm(A), op_norm(B)))
-
-    def test_kron_norm_is_product(self):
-        rng = np.random.default_rng(7)
-        A = random_matrix(rng, 2)
-        B = random_matrix(rng, 3)
-        assert op_norm(kron(A, B)) == pytest.approx(op_norm(A) * op_norm(B))
 
 
 def qr_rank(mats, tol=1e-9):
@@ -234,3 +227,45 @@ class TestSubspaceImmutability:
         b = OperatorSubspace(3, (np.eye(3) / np.sqrt(3),))
         with pytest.raises(InvalidInputError):
             subspace_contains(a, b, CFG)
+
+
+class TestSubspaceStorage:
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [np.eye(3)],  # wrong size
+            [np.eye(2), np.eye(3)],  # ragged
+            np.eye(2),  # one 2-D matrix, not a sequence of matrices
+            [np.array([[np.nan, 0.0], [0.0, 1.0]])],
+            [np.array([[np.inf, 0.0], [0.0, 1.0]])],
+        ],
+    )
+    def test_rejects_bad_basis(self, basis):
+        with pytest.raises(InvalidInputError):
+            OperatorSubspace(2, basis)
+
+    def test_basis_is_one_read_only_array_and_stack_its_view(self):
+        rng = np.random.default_rng(14)
+        mats = [random_matrix(rng, 3) for _ in range(4)]
+        space = orthonormalize(mats, CFG)
+        assert isinstance(space.basis, np.ndarray)
+        assert space.basis.shape == (4, 3, 3)
+        assert space.stack.shape == (4, 9)
+        assert np.shares_memory(space.stack, space.basis)
+        assert not space.basis.flags.writeable
+        assert not space.stack.flags.writeable
+        np.testing.assert_array_equal(space.stack[2], space.basis[2].ravel())
+
+    def test_input_array_is_copied_not_frozen(self):
+        mats = np.stack([np.eye(2) / np.sqrt(2)])
+        space = OperatorSubspace(2, mats)
+        assert mats.flags.writeable
+        assert not np.shares_memory(space.basis, mats)
+
+    @pytest.mark.parametrize("empty", [(), [], np.zeros((0, 3, 3))])
+    def test_empty_subspace_shapes(self, empty):
+        space = OperatorSubspace(3, empty)
+        assert space.dim == 0
+        assert space.basis.shape == (0, 3, 3)
+        assert space.stack.shape == (0, 9)
+        assert space.gram_defect() == 0.0
