@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a whole verification suite")
     p.add_argument("name", choices=("acceptance", "invariants"))
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per task)")
     p.add_argument("--timings", help="write wall-clock timings JSON here")
     _add_common(p)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig
 
@@ -140,15 +139,20 @@ def rank_svd(M: np.ndarray):
     Every numerical-rank decision goes through here.  numpy's driver,
     LAPACK gesdd, can fail to converge on matrices with clustered small
     singular values; the QR-iteration driver gesvd is slower but converges
-    on them, so a failure is retried with it.  A tall M is first reduced
-    to its triangular QR factor, which has the same singular values and
-    right singular vectors at a fraction of the cost.
+    on them, so a failure is retried with it (scipy is imported only for
+    that retry).  A tall M is first reduced to its triangular QR factor,
+    which has the same singular values and right singular vectors at a
+    fraction of the cost.
     """
     if M.shape[0] > M.shape[1]:
         M = np.linalg.qr(M, mode="r")
     try:
         _, svals, Vh = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError:
+        # The retry is rare; importing scipy.linalg up front would cost
+        # every process about 0.25 s and 28 MB.
+        import scipy.linalg
+
         _, svals, Vh = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
     return svals, Vh
 

@@ -438,20 +438,26 @@ def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
     Bs = C.basis
     S = C.space.stack
 
-    def norms(W):
-        return np.linalg.svd(W @ T - T @ W, compute_uv=False)[:, 0]
+    def score(W):
+        """Top singular value and pair (w, u) of each W T - T W."""
+        UU, s, Vh = np.linalg.svd(W @ T - T @ W)
+        return s[:, 0], UU[:, :, 0], Vh[:, 0, :].conj()
 
     def clip_to_feasible(W):
+        nrm = np.empty(len(W))
         todo = np.arange(len(W))
         for _ in range(4):
             U, s, Vh = np.linalg.svd(W[todo])
+            nrm[todo] = s[:, 0]
             over = s[:, 0] > 1.0 + 1e-12
             if not over.any():
                 break
             todo, U, s, Vh = todo[over], U[over], s[over], Vh[over]
             Wc = ((U * np.minimum(s, 1.0)[:, None, :]) @ Vh).reshape(-1, n * n)
             W[todo] = ((Wc @ S.conj().T) @ S).reshape(-1, n, n)
-        nrm = np.linalg.svd(W, compute_uv=False)[:, 0]
+        else:
+            # rows clipped in the last round have no current norm yet
+            nrm[todo] = np.linalg.svd(W[todo], compute_uv=False)[:, 0]
         return W / np.maximum(nrm, 1.0)[:, None, None]
 
     coeffs = []
@@ -460,25 +466,25 @@ def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
         coeffs.append(rng.standard_normal(C.dim) + 1j * rng.standard_normal(C.dim))
     W = clip_to_feasible(np.tensordot(np.stack(coeffs), Bs, axes=1))
     eta = np.full(len(W), 0.5)
-    val = norms(W)
+    # each trial keeps the singular pair that scored its current W, so a
+    # gradient step needs no fresh SVD
+    val, w, u = score(W)
     live = np.arange(len(W))
     for _ in range(60):
         if live.size == 0:
             break
-        Wl = W[live]
-        UU, _, Vh = np.linalg.svd(Wl @ T - T @ Wl)
-        w, u = UU[:, :, 0], Vh[:, 0, :].conj()
-        K = (u @ T.T)[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * (
-            w @ T.conj()
+        wl, ul = w[live], u[live]
+        K = (ul @ T.T)[:, :, None] * wl.conj()[:, None, :] - ul[:, :, None] * (
+            wl @ T.conj()
         ).conj()[:, None, :]
         g = np.einsum("kab,tba->tk", Bs, K)
         Wc = clip_to_feasible(
-            Wl + eta[live][:, None, None] * np.tensordot(np.conj(g), Bs, axes=1)
+            W[live] + eta[live][:, None, None] * np.tensordot(np.conj(g), Bs, axes=1)
         )
-        vc = norms(Wc)
+        vc, wc, uc = score(Wc)
         up = vc > val[live] + 1e-12
         W[live[up]] = Wc[up]
-        val[live[up]] = vc[up]
+        val[live[up]], w[live[up]], u[live[up]] = vc[up], wc[up], uc[up]
         eta[live[up]] = np.minimum(eta[live[up]] * 1.5, 2.0)
         eta[live[~up]] /= 2.0
         live = live[eta[live] >= 1e-6]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -491,12 +490,20 @@ def run_suite(name: str, seed: int, jobs: int = 1):
     """
     if name not in SUITE_NAMES:
         raise InvalidInputError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
     tasks = ACCEPTANCE_TASKS if name == "acceptance" else INVARIANT_TASKS
     indices = range(len(tasks))
-    if jobs <= 1:
+    # Under fork the pool starts every worker up front, so more workers
+    # than tasks would only be processes that never get work.
+    workers = min(jobs, len(tasks))
+    if workers == 1:
         rows = [_timed_task(name, i, seed) for i in indices]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Loading the pool pulls in multiprocessing; serial runs skip it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_timed_task, name, i, seed) for i in indices]
             rows = [f.result() for f in futures]
     rows.sort(key=lambda r: r[0])

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from commutant.cli import main
 from commutant.config import StructureError
 from commutant.gallery import corner_traceless_algebra, selfcommutant_triangular
 from commutant.serialize import algebra_to_json, matrix_to_json
+from commutant.suites import ACCEPTANCE_TASKS
 
 
 def run_cli(capsys, *args):
@@ -215,6 +217,35 @@ def test_suite_invariants_deterministic_and_records_cfg(capsys, tmp_path):
     assert set(clock) > {"total"}
     code, out2 = run_cli(capsys, "suite", "invariants", "--seed", "7")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_suite_jobs_below_one_exits_two_before_any_task(capsys, monkeypatch, jobs):
+    ran = []
+    monkeypatch.setattr("commutant.suites._timed_task", lambda *args: ran.append(args))
+    code = main(["suite", "acceptance", "--jobs", jobs])
+    assert code == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_suite_pool_gets_at_most_one_worker_per_task(monkeypatch):
+    # the fake pool raises before any worker exists, so no process starts
+    asked, ran = [], []
+
+    class NoPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            raise RuntimeError("pool refused")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr("commutant.suites._timed_task", lambda *args: ran.append(args))
+    with pytest.raises(RuntimeError, match="pool refused"):
+        main(["suite", "acceptance", "--jobs", "64"])
+    assert asked == [len(ACCEPTANCE_TASKS)]
+    assert ran == []
 
 
 def test_custom_tol_and_seed_recorded(capsys):

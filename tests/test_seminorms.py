@@ -8,6 +8,7 @@ search and Nelder-Mead for distances, an exhaustive parametrization of the
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -184,13 +185,69 @@ def test_dist_barrier_failure_is_uncertified_projection(monkeypatch):
     assert abs(op_norm(T - rep.witness) - rep.value) < 1e-12
 
 
-def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize adds about 20 MB and 0.3 s to a bare `import commutant`
-    code = "import sys, commutant; sys.exit('scipy.optimize' in sys.modules)"
+def _run_fresh(code):
+    """Run code in a new interpreter that imports this checkout's package."""
     env = dict(os.environ)
     src = str(Path(commutant.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.linalg costs about 0.25 s and 28 MB, the process pool about
+    # 17 ms; a bare `import commutant` and plain computations load neither
+    _run_fresh(
+        """
+        import sys
+        import numpy as np
+        import commutant
+
+        def heavy():
+            return sorted(
+                m for m in sys.modules
+                if m == "scipy" or m.startswith(("scipy.", "multiprocessing", "concurrent.futures"))
+            )
+
+        assert not heavy(), heavy()
+        cfg = commutant.NumericConfig()
+        C = commutant.relative_commutant([np.diag([1.0, 2.0, 3.0])], commutant.full_matrix_algebra(3), cfg)
+        assert C.dim == 3
+        T = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
+        A, M = commutant.diagonal_algebra(2), commutant.full_matrix_algebra(2)
+        assert commutant.derivation_seminorm(T, A, M, cfg).value > 0
+        assert not heavy(), heavy()
+        """
+    )
+
+
+def test_gesvd_retry_imports_scipy_on_demand():
+    # the retry path works in a process that has not loaded scipy before
+    _run_fresh(
+        """
+        import sys
+        import numpy as np
+        import commutant
+
+        real, calls = np.linalg.svd, []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(*args, **kwargs)
+
+        assert "scipy.linalg" not in sys.modules
+        np.linalg.svd = fails_once
+        cfg = commutant.NumericConfig()
+        C = commutant.relative_commutant([np.diag([1.0, 2.0, 3.0])], commutant.full_matrix_algebra(3), cfg)
+        assert calls and "scipy.linalg" in sys.modules
+        assert commutant.subspace_equal(C.space, commutant.diagonal_algebra(3).space, cfg)
+        """
+    )
 
 
 def test_dist_empty_subspace_is_norm():
@@ -428,6 +485,54 @@ def test_non_selfadjoint_algebra_reports_contraction_sup():
     # adjoints of the generators fill the ambient, so the unitary part vanishes
     assert rep.value < 1e-12
     assert abs(rep.details["contraction_sup"] - 1.0) < 1e-6
+
+
+def _contraction_sup_one_trial_at_a_time(T, model, cfg):
+    """Reference ascent: each trial alone, every SVD computed afresh."""
+    C = model.span_commutant
+    n, Bs, S = C.ambient_dim, C.basis, C.space.stack
+
+    def clip(W):
+        for _ in range(4):
+            U, s, Vh = np.linalg.svd(W)
+            if s[0] <= 1.0 + 1e-12:
+                break
+            W = ((((U * np.minimum(s, 1.0)) @ Vh).ravel() @ S.conj().T) @ S).reshape(n, n)
+        return W / max(op_norm(W), 1.0)
+
+    best = 0.0
+    for trial in range(8):
+        rng = cfg.rng(207, trial)
+        coeff = rng.standard_normal(C.dim) + 1j * rng.standard_normal(C.dim)
+        W = clip(np.tensordot(coeff, Bs, axes=1))
+        val, eta = op_norm(W @ T - T @ W), 0.5
+        for _ in range(60):
+            if eta < 1e-6:
+                break
+            UU, _, Vh = np.linalg.svd(W @ T - T @ W)
+            w, u = UU[:, 0], Vh[0].conj()
+            K = np.outer(T @ u, w.conj()) - np.outer(u, w.conj() @ T)
+            g = np.einsum("kab,ba->k", Bs, K)
+            Wc = clip(W + eta * np.tensordot(np.conj(g), Bs, axes=1))
+            vc = op_norm(Wc @ T - T @ Wc)
+            if vc > val + 1e-12:
+                W, val, eta = Wc, vc, min(eta * 1.5, 2.0)
+            else:
+                eta /= 2.0
+        best = max(best, val)
+    return best
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_contraction_sup_matches_one_trial_at_a_time(n):
+    rng = np.random.default_rng(40 + n)
+    J = np.diag(np.ones(n - 1), 1).astype(complex)
+    M = full_matrix_algebra(n)
+    for gen in (J, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+        model = commutant_model(generate_algebra([gen], CFG), M, CFG)
+        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        got = seminorms._contraction_sup(T, model, CFG)
+        assert abs(got - _contraction_sup_one_trial_at_a_time(T, model, CFG)) < 1e-10 * op_norm(T)
 
 
 def test_model_requires_containment():
