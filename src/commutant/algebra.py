@@ -11,10 +11,14 @@ stock algebras are block algebras: M_n is one block (n, 1), the diagonal
 masa n blocks (1, 1) and the scalars one block (1, n).
 
 The relative commutant of a set S inside an ambient algebra B is
-{X in B : XS = SX for every S}.  It is solved in B's coordinates against a
-few random combinations of S, whose nullspace can only be too large, and
-then certified against every element of S; elements that fail join the
-system and it is solved again.  Generated algebras are closed Krylov-style:
+{X in B : XS = SX for every S}.  Its elements commute with a random
+Hermitian H near span(S), so they are block diagonal on H's eigenspaces;
+the search runs on those blocks inside B, which for a *-closed S with a
+generic H in M_n leaves n unknowns instead of n^2, and on all of B when
+S is far from *-closed.  There it is solved against a few random
+combinations of S, whose nullspace can only be too large, and then
+certified against every element of S; elements that fail join the system
+and it is solved again.  Generated algebras are closed Krylov-style:
 each round multiplies only the directions the last round added by the
 generators.
 """
@@ -42,6 +46,10 @@ from .linalg import (
 _MAX_CLOSURE_WORK = 10**10
 # random combinations of the commuted set in the first commutant solve
 _COMMUTANT_PROBES = 3
+# eigenvalues of the search element H merge closer than this times
+# eps_H / rank_tol: a commutant element then leaves the search space by at
+# most rank_tol / 100 of its norm
+_MERGE_FACTOR = 200.0
 
 
 @dataclass(frozen=True)
@@ -201,53 +209,104 @@ def _commutator_system(mats: np.ndarray, Bstack: np.ndarray) -> np.ndarray:
     return D.reshape(k, m, n * n).transpose(0, 2, 1).reshape(k * n * n, m)
 
 
+def _search_space(
+    A: np.ndarray, span: OperatorSubspace, ambient: MatrixAlgebra, cfg: NumericConfig
+) -> np.ndarray:
+    """Orthonormal basis of the ambient elements that commute with one Hermitian H.
+
+    H = Z + Z* for a random combination Z of A, and eps_H adds eigh's
+    backward error n eps ||H|| to H's distance from span(A).  One cluster
+    leaves the ambient basis as it is.  On all of M_n the basis is V E_ij V*
+    for i, j in one cluster; in a proper ambient it is the span, in ambient
+    coordinates, of the directions X with ||HX - XH|| <= tol ||X||, which
+    holds every X that is block diagonal on the clusters.
+    """
+    n = ambient.ambient_dim
+    rng = cfg.rng(112)
+    coeff = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
+    Z = np.tensordot(coeff, A, axes=1)
+    H = Z + Z.conj().T
+    vals, V = np.linalg.eigh(H)
+    eps_H = span.residual(H) + n * np.finfo(float).eps * max(-vals[0], vals[-1])
+    tol = _MERGE_FACTOR * eps_H / cfg.rank_tol
+    cluster = np.concatenate([[0], np.cumsum(np.diff(vals) > tol)])
+    if cluster[-1] == 0:
+        return ambient.basis
+    if ambient.dim == n * n:
+        i, j = np.nonzero(cluster[:, None] == cluster[None, :])
+        return V.T[i][:, :, None] * V.T[j].conj()[:, None, :]
+    svals, Vh = rank_svd(_commutator_system(H[None], ambient.basis))
+    return np.tensordot(Vh[int(np.sum(svals > tol)) :].conj(), ambient.basis, axes=1)
+
+
+def _certified_nullspace(A: np.ndarray, K: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+    """Basis of {X in span(K) : XS = SX for every S in A}, for orthonormal K.
+
+    The numerical nullspace, in K's coordinates, of the commutator maps of a
+    few random combinations of A.  That nullspace holds the commutant and
+    can only be too large, so it is certified against every element of A;
+    elements above the rank cut join the system and it is solved again.
+    """
+    count = len(A)
+    if not count or not len(K):
+        return K
+    k = min(count, _COMMUTANT_PROBES)
+    rng = cfg.rng(111)
+    # variance 1/k per coefficient: the probes' Gram matrix then matches
+    # the whole set's in expectation, so the rank cut keeps its scale
+    coeff = rng.standard_normal((k, count)) + 1j * rng.standard_normal((k, count))
+    system = np.tensordot(coeff / np.sqrt(2 * k), A, axes=1)
+    norm_max = np.linalg.norm(A.reshape(count, -1), axis=1).max()
+    joined = np.zeros(count, dtype=bool)
+    while True:
+        # rows >= dim K always (dim K <= n^2), so economy Vh carries all its rows
+        svals, Vh = rank_svd(_commutator_system(system, K))
+        # scale against the commuted set, not only sigma_max: when every
+        # basis element commutes the stack is numerical noise and the whole
+        # coordinate space is nullspace
+        cut = cfg.rank_tol * max(svals[0], norm_max)
+        X = np.tensordot(Vh[int(np.sum(svals > cut)) :].conj(), K, axes=1)
+        comm = np.matmul(A[:, None], X[None]) - np.matmul(X[None], A[:, None])
+        failed = (np.linalg.norm(comm.reshape(count, -1), axis=1) > cut) & ~joined
+        if not failed.any():
+            return X
+        joined |= failed
+        system = np.concatenate([system, A[failed]])
+
+
 def relative_commutant(
     S, ambient: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> MatrixAlgebra:
     """{X in ambient : XS = SX for all S}, as an algebra.
 
-    Solved as the numerical nullspace, in ambient coordinates, of the
-    commutator maps of a few random combinations of S.  That nullspace
-    holds the commutant and can only be too large, so the candidate is
-    certified against every element S_i in one batched residual
-    ||S_i X - X S_i||; elements above the rank cut join the system and it is
-    solved again.  The loop ends at the latest with the whole of S in the
-    system.  The nullspace basis returned by the SVD is orthonormal in
-    coordinates, hence Hilbert-Schmidt orthonormal as matrices.
+    Search space: every X commuting with S commutes with a Hermitian H in
+    span(S), so it is block diagonal on H's eigenspaces; the solve runs on
+    K = {H}' intersected with the ambient (see _search_space), which for a
+    generic H in M_n has n dimensions instead of n^2.
+
+    Merge rule and why no direction is lost: H is within eps_H of span(S),
+    so a commutant element X has ||HX - XH|| <= 2 eps_H ||X||, and in H's
+    eigenbasis |X_ij| <= 2 eps_H / |lambda_i - lambda_j|.  Eigenvalues in
+    different clusters differ by more than tol = 200 eps_H / rank_tol, so
+    the part of X outside K is at most rank_tol / 100 of X, two orders
+    below the rank cut of the solve.  A set that is not *-closed, or a tight
+    rank_tol, makes tol exceed the spectrum: one cluster, K is the ambient.
+
+    Solve: the numerical nullspace, in K's coordinates, of the commutator
+    maps of a few random combinations of S, certified against every element
+    S_i in one batched residual ||S_i X - X S_i||; elements above the rank
+    cut join the system and it is solved again, at the latest with the
+    whole of S in it.  K and the nullspace coordinates are orthonormal, so
+    the basis returned is Hilbert-Schmidt orthonormal, and it is a
+    combination of ambient elements, so it lies in the ambient.
     """
     n = ambient.ambient_dim
     A = _commuted_set(S, n)
-    m = ambient.dim
-    if m == 0:
+    if ambient.dim == 0:
         return MatrixAlgebra(OperatorSubspace(n, ()), False, ambient.selfadjoint)
-    Bstack = ambient.basis
-    X = Bstack
-    count = len(A)
-    if count:
-        k = min(count, _COMMUTANT_PROBES)
-        rng = cfg.rng(111)
-        # variance 1/k per coefficient: the probes' Gram matrix then matches
-        # the whole set's in expectation, so the rank cut keeps its scale
-        coeff = rng.standard_normal((k, count)) + 1j * rng.standard_normal((k, count))
-        system = np.tensordot(coeff / np.sqrt(2 * k), A, axes=1)
-        norm_max = max(np.linalg.norm(M) for M in A)
-        joined = np.zeros(count, dtype=bool)
-        while True:
-            # rows >= m always (m <= n^2), so economy Vh still carries all m rows
-            svals, Vh = rank_svd(_commutator_system(system, Bstack))
-            # scale against the commuted set, not only sigma_max: when every
-            # basis element commutes the stack is numerical noise and the whole
-            # coordinate space is nullspace
-            cut = cfg.rank_tol * max(svals[0], norm_max)
-            X = np.tensordot(Vh[int(np.sum(svals > cut)) :].conj(), Bstack, axes=1)
-            comm = np.matmul(A[:, None], X[None]) - np.matmul(X[None], A[:, None])
-            failed = (np.linalg.norm(comm.reshape(count, -1), axis=1) > cut) & ~joined
-            if not failed.any():
-                break
-            joined |= failed
-            system = np.concatenate([system, A[failed]])
-    space = OperatorSubspace(n, X)
     span = S.space if isinstance(S, MatrixAlgebra) else orthonormalize(A, cfg, ambient_dim=n)
+    X = _certified_nullspace(A, _search_space(A, span, ambient, cfg), cfg)
+    space = OperatorSubspace(n, X)
     selfadjoint = ambient.selfadjoint and _adjoint_closed(span, cfg)
     unital = ambient.unital or space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
     return MatrixAlgebra(space, unital, selfadjoint)

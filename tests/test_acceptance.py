@@ -16,13 +16,14 @@ import pytest
 from commutant.suites import ACCEPTANCE_BUDGETS, TOTAL_BUDGET
 
 
-def run_acceptance_cli(tmpdir, jobs):
+def run_acceptance_cli(tmpdir, jobs, env):
     timings_path = tmpdir / f"timings-{jobs}.json"
     proc = subprocess.run(
         [
             sys.executable, "-m", "commutant.cli", "suite", "acceptance",
             "--seed", "42", "--jobs", str(jobs), "--timings", str(timings_path),
         ],
+        env=env,
         capture_output=True,
         text=True,
     )
@@ -31,9 +32,9 @@ def run_acceptance_cli(tmpdir, jobs):
 
 
 @pytest.fixture(scope="module")
-def acceptance(tmp_path_factory):
+def acceptance(tmp_path_factory, package_env):
     tmpdir = tmp_path_factory.mktemp("acceptance")
-    stdout, timings = run_acceptance_cli(tmpdir, jobs=1)
+    stdout, timings = run_acceptance_cli(tmpdir, jobs=1, env=package_env)
     report = json.loads(stdout)
     rows = {r["id"]: r for r in report["results"]}
     return {"tmpdir": tmpdir, "stdout": stdout, "report": report,
@@ -107,9 +108,9 @@ def test_criterion_11_seminorm_laws(acceptance):
           f"{r['violations']} violations over {r['instances']} instances")
 
 
-def test_criterion_12_byte_identical_reports(acceptance):
-    serial, _ = run_acceptance_cli(acceptance["tmpdir"], jobs=1)
-    pooled, _ = run_acceptance_cli(acceptance["tmpdir"], jobs=2)
+def test_criterion_12_byte_identical_reports(acceptance, package_env):
+    serial, _ = run_acceptance_cli(acceptance["tmpdir"], jobs=1, env=package_env)
+    pooled, _ = run_acceptance_cli(acceptance["tmpdir"], jobs=2, env=package_env)
     same = acceptance["stdout"] == serial == pooled
     print(f"criterion 12 [{'PASS' if same else 'FAIL'}] rerun and jobs=2 byte-identical")
     assert acceptance["stdout"] == serial

@@ -52,6 +52,50 @@ def kron_commutant_basis(mats, ambient_space=None, tol=1e-9):
     return [N[:, k].reshape(n, n) for k in range(N.shape[1])]
 
 
+def _system_widths(monkeypatch):
+    """Record the column count of every system relative_commutant solves."""
+    widths = []
+    real = algebra_module.rank_svd
+
+    def counting(M):
+        widths.append(M.shape[1])
+        return real(M)
+
+    monkeypatch.setattr(algebra_module, "rank_svd", counting)
+    return widths
+
+
+def _full_ambient_solve(S, ambient, cfg=CFG):
+    """The probe solve and certificate on the whole ambient, no search space."""
+    A = algebra_module._commuted_set(S, ambient.ambient_dim)
+    return algebra_module._certified_nullspace(A, ambient.basis, cfg)
+
+
+def _perturbed_block_bases(count):
+    """Haar-rotated ((3, 2), (1, 2)) block algebras and their perturbed bases."""
+    for b in range(count):
+        rng = np.random.default_rng([7, b])
+        B = block_algebra(((3, 2), (1, 2)), haar_unitary(rng, 8))
+        for delta in (0.0, 1e-12, 1e-10, 1e-8):
+            noise = np.stack([random_matrix(rng, 8) for _ in range(B.dim)])
+            yield B, delta, B.basis + delta * noise
+
+
+# kind: (n, unknowns of the eigenspace search): the sum of H's eigenvalue
+# multiplicities squared for a *-closed set, all of M_n otherwise
+_PROBE_CASES = {
+    "scalars": (6, 36),
+    "diag": (6, 6),
+    "full": (6, 6),
+    "blocks": (6, 12),
+    "blocks-23-12": (8, 22),
+    "blocks-22-22": (8, 16),
+    "poly": (6, 36),
+    "jordan": (6, 36),
+    "corner-row": (6, 36),
+}
+
+
 class TestRelativeCommutant:
     def test_distinct_diagonal_has_diagonal_commutant(self):
         D = np.diag([1.0, 2.0, 3.0])
@@ -110,38 +154,45 @@ class TestRelativeCommutant:
         assert not relative_commutant([N], full_matrix_algebra(2), CFG).selfadjoint
 
 
-    @pytest.mark.parametrize("kind", ["diag", "full", "blocks", "poly", "corner-row"])
+    @pytest.mark.parametrize("kind", list(_PROBE_CASES))
     def test_probe_solve_matches_kron_oracle(self, kind, monkeypatch):
-        n = 6
+        n, search_dim = _PROBE_CASES[kind]
         rng = np.random.default_rng(31)
-        if kind == "diag":
+        if kind == "scalars":
+            S = scalar_algebra(n)
+        elif kind == "diag":
             S = diagonal_algebra(n)
         elif kind == "full":
             S = full_matrix_algebra(n)
         elif kind == "blocks":
             S = block_algebra(((2, 2), (1, 2)), haar_unitary(rng, n))
+        elif kind == "blocks-23-12":
+            S = block_algebra(((2, 3), (1, 2)), haar_unitary(rng, n))
+        elif kind == "blocks-22-22":
+            S = block_algebra(((2, 2), (2, 2)), haar_unitary(rng, n))
         elif kind == "poly":
             S = generate_algebra([random_matrix(rng, n)], CFG)
+        elif kind == "jordan":
+            S = generate_algebra([np.diag(np.ones(n - 1), 1)], CFG)
         else:
             # span{1, E_12, ..., E_16}: three random combinations leave the
             # commutant too large, so the certificate has to add elements
             units = [np.eye(n)[:, [0]] @ np.eye(n)[[j], :] for j in range(1, n)]
             S = generate_algebra(units, CFG)
             assert S.dim == n
-        solves = []
-        real = algebra_module.rank_svd
-
-        def counting(M):
-            solves.append(M.shape)
-            return real(M)
-
-        monkeypatch.setattr(algebra_module, "rank_svd", counting)
-        C = relative_commutant(S, full_matrix_algebra(n), CFG)
+        widths = _system_widths(monkeypatch)
+        full = full_matrix_algebra(n)
+        C = relative_commutant(S, full, CFG)
         oracle = orthonormalize(kron_commutant_basis(list(S.basis)), CFG)
         assert C.dim == oracle.dim
         assert subspace_distance(C.space, oracle) <= CFG.eq_tol
+        # no solve saw more unknowns than H's eigenspace blocks hold
+        assert max(widths) <= search_dim
+        if search_dim == n * n:
+            # one cluster: the search space is the whole ambient, as is the solve
+            assert np.array_equal(C.basis, _full_ambient_solve(S, full))
         if kind == "corner-row":
-            assert len(solves) > 1
+            assert len(widths) > 1
 
     def test_rank_svd_retries_when_gesdd_fails(self, monkeypatch):
         real = np.linalg.svd
@@ -157,6 +208,55 @@ class TestRelativeCommutant:
         C = relative_commutant([np.diag([1.0, 2.0, 3.0])], full_matrix_algebra(3), CFG)
         assert calls  # the first SVD of the solve raised
         assert subspace_equal(C.space, diagonal_algebra(3).space, CFG)
+
+
+class TestEigenspaceSearch:
+    """relative_commutant solves on the eigenspaces of one Hermitian H."""
+
+    @pytest.mark.parametrize("kind", ["center", "inside-blocks"])
+    def test_proper_ambient_results_stay_in_the_ambient(self, kind, monkeypatch):
+        U = haar_unitary(np.random.default_rng(42), 8)
+        B = block_algebra(((3, 2), (2, 1)), U)
+        # center(B), or the commutant in B of its subalgebra M_3 x I_2 + masa_2
+        S = B if kind == "center" else block_algebra(((3, 2), (1, 1), (1, 1)), U)
+        widths = _system_widths(monkeypatch)
+        C = relative_commutant(S, B, CFG)
+        oracle = orthonormalize(kron_commutant_basis(list(S.basis), B.space), CFG)
+        assert C.dim == oracle.dim
+        assert subspace_distance(C.space, oracle) <= CFG.eq_tol
+        assert max(B.space.residual(X) for X in C.basis) <= 1e-12
+        # the probe systems ran on a search space smaller than the ambient
+        assert min(widths) < B.dim
+
+    @pytest.mark.parametrize(
+        "cfg", [CFG, NumericConfig(rank_tol=1e-7, eq_tol=1e-5)], ids=["default", "loose"]
+    )
+    def test_perturbed_block_bases_keep_the_full_solve_dimension(self, cfg):
+        # a fixed merge tolerance of 1e-5 ||H|| lost directions here at 1e-10
+        for B, delta, S in _perturbed_block_bases(40):
+            for ambient in (full_matrix_algebra(8), B):
+                C = relative_commutant(S, ambient, cfg)
+                assert C.dim == len(_full_ambient_solve(S, ambient, cfg)), delta
+                assert max(ambient.space.residual(X) for X in C.basis) <= 1e-12
+
+    def test_tight_rank_tol_matches_oracle(self):
+        cfg = NumericConfig(rank_tol=1e-14, eq_tol=1e-12)
+        rng = np.random.default_rng(44)
+        for S in (
+            diagonal_algebra(5),
+            block_algebra(((2, 2), (1, 2)), haar_unitary(rng, 6)),
+            generate_algebra([random_matrix(rng, 4)], cfg),
+        ):
+            C = relative_commutant(S, full_matrix_algebra(S.ambient_dim), cfg)
+            oracle = orthonormalize(kron_commutant_basis(list(S.basis), tol=1e-11), cfg)
+            assert C.dim == oracle.dim
+            assert subspace_distance(C.space, oracle) <= 1e-9
+
+    def test_center_of_m12_solves_at_most_n_columns(self, monkeypatch):
+        widths = _system_widths(monkeypatch)
+        Z = center(full_matrix_algebra(12), CFG)
+        assert Z.dim == 1
+        assert widths and max(widths) <= 12
 
 
 class TestGenerateAlgebra:

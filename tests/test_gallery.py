@@ -1,14 +1,11 @@
 """Gallery constructions against hand-built and brute-force oracles."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import commutant
 from commutant.algebra import (
     diagonal_algebra,
     full_matrix_algebra,
@@ -145,12 +142,10 @@ class TestRampShift:
         assert rep["doubling_slack"] < 1e-12
         assert rep["interior_commutator_norm"] <= rep["bound"] + rep["doubling_slack"]
 
-    def test_report_is_independent_of_blas_threads(self):
-        src = str(Path(commutant.__file__).parents[1])
+    def test_report_is_independent_of_blas_threads(self, package_env):
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env = dict(package_env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "commutant.cli", "gallery",
                  "--items", "ramp-shift-commutator"],

@@ -5,17 +5,14 @@ search and Nelder-Mead for distances, an exhaustive parametrization of the
 2x2 unitary group and blockwise Haar sampling for the seminorm.
 """
 
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-import commutant
 from commutant import seminorms
 from commutant.algebra import (
     MatrixAlgebra,
@@ -185,11 +182,8 @@ def test_dist_barrier_failure_is_uncertified_projection(monkeypatch):
     assert abs(op_norm(T - rep.witness) - rep.value) < 1e-12
 
 
-def _run_fresh(code):
+def _run_fresh(code, env):
     """Run code in a new interpreter that imports this checkout's package."""
-    env = dict(os.environ)
-    src = str(Path(commutant.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         env=env, capture_output=True, text=True,
@@ -197,7 +191,7 @@ def _run_fresh(code):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_leaves_scipy_optimize_out():
+def test_import_leaves_scipy_optimize_out(package_env):
     # scipy.linalg costs about 0.25 s and 28 MB, the process pool about
     # 17 ms; a bare `import commutant` and plain computations load neither
     _run_fresh(
@@ -220,11 +214,12 @@ def test_import_leaves_scipy_optimize_out():
         A, M = commutant.diagonal_algebra(2), commutant.full_matrix_algebra(2)
         assert commutant.derivation_seminorm(T, A, M, cfg).value > 0
         assert not heavy(), heavy()
-        """
+        """,
+        package_env,
     )
 
 
-def test_gesvd_retry_imports_scipy_on_demand():
+def test_gesvd_retry_imports_scipy_on_demand(package_env):
     # the retry path works in a process that has not loaded scipy before
     _run_fresh(
         """
@@ -246,7 +241,8 @@ def test_gesvd_retry_imports_scipy_on_demand():
         C = commutant.relative_commutant([np.diag([1.0, 2.0, 3.0])], commutant.full_matrix_algebra(3), cfg)
         assert calls and "scipy.linalg" in sys.modules
         assert commutant.subspace_equal(C.space, commutant.diagonal_algebra(3).space, cfg)
-        """
+        """,
+        package_env,
     )
 
 
