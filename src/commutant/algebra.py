@@ -54,7 +54,11 @@ _MERGE_FACTOR = 200.0
 
 @dataclass(frozen=True)
 class MatrixAlgebra:
-    """A multiplicatively closed subspace of M_n with structure flags."""
+    """A multiplicatively closed subspace of M_n with structure flags.
+
+    A True flag is a promise: relative_commutant trusts selfadjoint=True
+    without rechecking it, so build one only where it holds.
+    """
 
     space: OperatorSubspace
     unital: bool
@@ -307,7 +311,10 @@ def relative_commutant(
     span = S.space if isinstance(S, MatrixAlgebra) else orthonormalize(A, cfg, ambient_dim=n)
     X = _certified_nullspace(A, _search_space(A, span, ambient, cfg), cfg)
     space = OperatorSubspace(n, X)
-    selfadjoint = ambient.selfadjoint and _adjoint_closed(span, cfg)
+    # a False flag may be a false negative (the commutant of a *-closed
+    # set), so only it is rechecked
+    known = isinstance(S, MatrixAlgebra) and S.selfadjoint
+    selfadjoint = ambient.selfadjoint and (known or _adjoint_closed(span, cfg))
     unital = ambient.unital or space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
     return MatrixAlgebra(space, unital, selfadjoint)
 

@@ -153,6 +153,24 @@ class TestRelativeCommutant:
         N = np.array([[0, 1.0], [0, 0]])
         assert not relative_commutant([N], full_matrix_algebra(2), CFG).selfadjoint
 
+    def test_true_selfadjoint_flag_is_not_rechecked(self, monkeypatch):
+        calls = []
+        real = algebra_module._adjoint_closed
+        monkeypatch.setattr(
+            algebra_module, "_adjoint_closed", lambda *a: calls.append(1) or real(*a)
+        )
+        Z = center(full_matrix_algebra(12), CFG)
+        assert Z.dim == 1 and Z.selfadjoint
+        assert not calls
+
+    def test_false_selfadjoint_flag_is_rechecked(self):
+        # a *-closed set flagged False still has a selfadjoint commutant
+        D = diagonal_algebra(3)
+        flagged = MatrixAlgebra(D.space, True, False)
+        C = relative_commutant(flagged, full_matrix_algebra(3), CFG)
+        assert C.selfadjoint
+        assert subspace_equal(C.space, D.space, CFG)
+
 
     @pytest.mark.parametrize("kind", list(_PROBE_CASES))
     def test_probe_solve_matches_kron_oracle(self, kind, monkeypatch):

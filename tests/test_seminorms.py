@@ -8,6 +8,7 @@ search and Nelder-Mead for distances, an exhaustive parametrization of the
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -469,6 +470,135 @@ def test_seminorm_beats_haar_sampling_oracle():
         assert dn.value >= oracle - 1e-9
         if dn.value > 1e-8:
             assert (dn.value - oracle) / dn.value <= 0.02
+
+
+def _svd_polar_phase_batch(Tt, layout, Us):
+    """Reference polar phase: a full SVD of every new commutator stack."""
+    R = Us[0].shape[0]
+    Ub = layout.assemble(Us)
+    UU, sv, Vh = np.linalg.svd(Ub @ Tt - Tt @ Ub)
+    sigma, w, u = sv[:, 0], UU[:, :, 0], Vh[:, 0, :].conj()
+    stall = np.zeros(R, dtype=int)
+    iters = 0
+    while iters < seminorms._MAX_ITERS and (stall < 2).any():
+        b = np.einsum("ij,rj->ri", Tt, u)
+        c = np.einsum("ji,rj->ri", Tt.conj(), w)
+        X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
+        new = [seminorms._polar_unitaries(Y) for Y in layout.block_traces(X)]
+        Ub_new = layout.assemble(new)
+        UU, sv, Vh = np.linalg.svd(Ub_new @ Tt - Tt @ Ub_new)
+        sig_new = sv[:, 0]
+        iters += 1
+        gained = sig_new > sigma + 1e-13 * np.maximum(1.0, sigma)
+        keep = sig_new >= sigma
+        stall[gained] = 0
+        stall[~gained] += 1
+        for old, nw in zip(Us, new):
+            old[keep] = nw[keep]
+        sigma = np.where(keep, sig_new, sigma)
+        w[keep] = UU[keep, :, 0]
+        u[keep] = Vh[keep, 0, :].conj()
+    return sigma, Us, iters, bool((stall < 2).any())
+
+
+def _sweep_algebras(n, rng):
+    """Scalars, masa, M_n, and block algebras whose commutants have an s = 2
+    and an s = 3 block, the last two in a Haar-random basis."""
+    return {
+        "scalars": scalar_algebra(n),
+        "masa": diagonal_algebra(n),
+        "full": full_matrix_algebra(n),
+        "s2": block_algebra(((1, 2),) + ((1, 1),) * (n - 2), haar_unitary(rng, n)),
+        "s3": block_algebra(((1, 3),) + ((1, 1),) * (n - 3), haar_unitary(rng, n)),
+    }
+
+
+def test_power_tracked_ascent_matches_full_svd_reference(monkeypatch):
+    # the polar phase tracks its singular pair by power steps; against the
+    # same ascent with a full SVD per step it must not lose value
+    rng = np.random.default_rng(30)
+    for n in (3, 4, 5, 6):
+        Mn = full_matrix_algebra(n)
+        for kind, A in _sweep_algebras(n, rng).items():
+            model = commutant_model(A, Mn, CFG)
+            for _ in range(2 if kind == "full" else 7):
+                T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                new = derivation_seminorm(T, A, Mn, CFG, model, compute_upper=False)
+                with monkeypatch.context() as m:
+                    m.setattr(seminorms, "_polar_phase_batch", _svd_polar_phase_batch)
+                    ref = derivation_seminorm(T, A, Mn, CFG, model, compute_upper=False)
+                scale = max(1.0, op_norm(T))
+                assert new.value >= ref.value - 1e-9 * scale, (kind, n)
+
+
+def test_seminorm_of_bicommutant_element_is_zero_without_warnings():
+    # zero commutators: F* w vanishes in the power step, which must neither
+    # divide by zero nor move the ascent
+    rng = np.random.default_rng(31)
+    n = 4
+    Mn = full_matrix_algebra(n)
+    blocks = block_algebra(((2, 1), (1, 2)), haar_unitary(rng, n))
+    a = rng.standard_normal(blocks.dim) + 1j * rng.standard_normal(blocks.dim)
+    cases = [
+        (diagonal_algebra(n), np.zeros((n, n))),
+        (scalar_algebra(n), np.zeros((n, n))),
+        (blocks, np.zeros((n, n))),
+        (diagonal_algebra(n), np.diag(rng.standard_normal(n))),
+        (blocks, np.tensordot(a, blocks.basis, axes=1)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A, T in cases:
+            rep = derivation_seminorm(T, A, Mn, CFG, compute_upper=False)
+            assert rep.value <= 1e-12 * max(1.0, op_norm(T))
+            assert rep.details["polar_cap_hits"] == 0
+        rep = derivation_seminorm(np.zeros((n, n)), diagonal_algebra(n), Mn, CFG)
+        assert rep.value == 0.0 and rep.converged
+
+
+def test_polar_cap_hits_count_phases_stopped_at_the_cap(monkeypatch):
+    rng = np.random.default_rng(32)
+    T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    D4, M4 = diagonal_algebra(4), full_matrix_algebra(4)
+    model = commutant_model(D4, M4, CFG)
+    rep = derivation_seminorm(T, D4, M4, CFG, model, compute_upper=False)
+    assert rep.details["polar_cap_hits"] == 0
+    phases = []
+    real = seminorms._polar_phase_batch
+
+    def counted(*args):
+        out = real(*args)
+        phases.append(out[3])
+        return out
+
+    # with a cap of one step every phase whose first step gains stops there
+    monkeypatch.setattr(seminorms, "_MAX_ITERS", 1)
+    monkeypatch.setattr(seminorms, "_polar_phase_batch", counted)
+    rep = derivation_seminorm(T, D4, M4, CFG, model, compute_upper=False)
+    assert len(phases) >= 3 and any(phases)
+    assert rep.details["polar_cap_hits"] == sum(phases)
+
+
+def test_barrier_factorizes_each_accepted_point_once(monkeypatch):
+    # the line search's accepted trial hands its matrix and log-det on, so
+    # no Cholesky factorization is repeated on the same matrix
+    seen = []
+    real = np.linalg.cholesky
+
+    def counted(F):
+        seen.append(np.asarray(F).tobytes())
+        return real(F)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    rng = np.random.default_rng(33)
+    for A in (scalar_algebra(3), diagonal_algebra(4)):
+        n = A.ambient_dim
+        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        seen.clear()
+        rep = dist_opnorm(T, A.space, CFG)
+        assert rep.converged and rep.iterations > 0
+        assert len(seen) > rep.iterations
+        assert len(set(seen)) == len(seen)
 
 
 def test_non_selfadjoint_algebra_reports_contraction_sup():
