@@ -155,7 +155,6 @@ def generate_algebra(
     cfg: NumericConfig = DEFAULT_CONFIG,
     unital: bool = True,
     star: bool = False,
-    dim_cap: int = DIM_CAP,
 ) -> MatrixAlgebra:
     """Smallest algebra containing the generators.
 
@@ -171,8 +170,8 @@ def generate_algebra(
     if not gens:
         raise InvalidInputError("generate_algebra needs at least one generator")
     n = gens[0].shape[0]
-    if n > dim_cap:
-        raise ResourceLimitError(f"ambient dimension {n} exceeds cap {dim_cap}")
+    if n > DIM_CAP:
+        raise ResourceLimitError(f"ambient dimension {n} exceeds cap {DIM_CAP}")
     mult = [as_matrix(G, dim=n) for G in gens]
     if star:
         mult += [G.conj().T for G in mult]

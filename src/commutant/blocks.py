@@ -144,10 +144,7 @@ def minimal_central_projections(
     if c == 1:
         return [np.eye(n, dtype=np.complex128)]
     for attempt in range(_REDRAWS):
-        rng = cfg.rng(101, attempt)
-        coeff = rng.standard_normal(c) + 1j * rng.standard_normal(c)
-        H = np.tensordot(coeff, Z.basis, axes=1)
-        H = H + H.conj().T
+        H = _generic_selfadjoint(Z.space, cfg.rng(101, attempt))
         vals, vecs = np.linalg.eigh(H)
         groups = _cluster_sorted(vals, c)
         if groups is None:

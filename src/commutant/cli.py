@@ -20,8 +20,7 @@ import json
 import re
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .algebra import (
     center,
@@ -86,18 +85,6 @@ def _load_algebra(spec: str, cfg: NumericConfig):
     return algebra_from_json(_read_json(spec), cfg)
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    return matrix_from_json(_read_json(path))
-
-
-def _emit(payload: dict, path: str) -> None:
-    text = canonical_dumps(payload) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
 def _cfg_from(args) -> NumericConfig:
     tol = args.tol
     # rank decisions stay two orders sharper than equality decisions
@@ -110,72 +97,69 @@ def _cfg_from(args) -> NumericConfig:
     )
 
 
-def _envelope(args, cfg: NumericConfig, inputs: dict, result: dict) -> dict:
-    return {
-        "command": args.command,
-        "cfg": dataclasses.asdict(cfg),
-        "inputs": inputs,
-        "result": result,
-    }
+# how each input flag's value becomes an argument of the run function
+_LOADERS = {
+    "t": lambda path, cfg: matrix_from_json(_read_json(path)),
+    "generators": lambda path, cfg: matrices_from_json(_read_json(path)),
+    "algebra": _load_algebra,
+    "ambient": _load_algebra,
+    "space": _load_algebra,
+}
 
 
-def _cmd_gen(args, cfg):
-    mats = matrices_from_json(_read_json(args.generators))
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+class _Command(NamedTuple):
+    """A subcommand: its input flags, in load order, feed its run function.
+
+    run(args, cfg, *loaded) returns (result, exit code).  With envelope
+    the output is {command, cfg, inputs, result}, where inputs echoes the
+    input flags; without it the output is the result alone.
+    """
+
+    help: str
+    inputs: tuple
+    run: Callable
+    extra: tuple = ()
+    envelope: bool = True
+
+
+def _algebra_result(C):
+    return {"algebra": algebra_to_json(C), "dim": C.dim}, 0
+
+
+def _bracket_result(rep):
+    """dist and dn: the report is written, with exit 3 while its bracket is open."""
+    return {"report": report_to_json(rep), "details": jsonable(rep.details)}, 0 if rep.converged else 3
+
+
+def _gen(args, cfg, mats):
     A = generate_algebra(mats, cfg, unital=not args.non_unital, star=args.star)
-    result = {"algebra": algebra_to_json(A), "check": jsonable(verify_algebra(A, cfg))}
-    return _envelope(args, cfg, {"generators": args.generators}, result), 0
+    return {"algebra": algebra_to_json(A), "check": jsonable(verify_algebra(A, cfg))}, 0
 
 
-def _cmd_commutant(args, cfg):
-    A = _load_algebra(args.algebra, cfg)
-    B = _load_algebra(args.ambient, cfg)
-    C = relative_commutant(A, B, cfg)
-    result = {"algebra": algebra_to_json(C), "dim": C.dim}
-    return _envelope(args, cfg, {"algebra": args.algebra, "ambient": args.ambient}, result), 0
-
-
-def _cmd_bicommutant(args, cfg):
-    A = _load_algebra(args.algebra, cfg)
-    B = _load_algebra(args.ambient, cfg)
+def _bicommutant(args, cfg, A, B):
     D = double_commutant(A, B, cfg)
-    result = {"algebra": algebra_to_json(D), "dim": A.dim, "bicommutant_dim": D.dim}
-    return _envelope(args, cfg, {"algebra": args.algebra, "ambient": args.ambient}, result), 0
+    return {"algebra": algebra_to_json(D), "dim": A.dim, "bicommutant_dim": D.dim}, 0
 
 
-def _cmd_center(args, cfg):
-    A = _load_algebra(args.algebra, cfg)
-    Z = center(A, cfg)
-    result = {"algebra": algebra_to_json(Z), "dim": Z.dim}
-    return _envelope(args, cfg, {"algebra": args.algebra}, result), 0
-
-
-def _cmd_normal(args, cfg):
-    A = _load_algebra(args.algebra, cfg)
-    B = _load_algebra(args.ambient, cfg)
+def _normal(args, cfg, A, B):
     flag, witness = is_normal(A, B, cfg)
-    result = {
-        "normal": bool(flag),
-        "witness": None if witness is None else matrix_to_json(witness),
-    }
-    code = 0
-    if args.expect is not None:
-        wanted = args.expect == "normal"
-        result["expected"] = args.expect
-        if flag is not wanted:
-            code = 1
-    return _envelope(args, cfg, {"algebra": args.algebra, "ambient": args.ambient}, result), code
+    result = {"normal": bool(flag), "witness": None if witness is None else matrix_to_json(witness)}
+    if args.expect is None:
+        return result, 0
+    result["expected"] = args.expect
+    return result, 0 if flag is (args.expect == "normal") else 1
 
 
-def _cmd_wedderburn(args, cfg):
-    A = _load_algebra(args.algebra, cfg)
+def _wedderburn(args, cfg, A):
     st = wedderburn(A, cfg)
-    result = {"structure": structure_to_json(st), "algebra_dim": st.algebra_dim}
-    return _envelope(args, cfg, {"algebra": args.algebra}, result), 0
+    return {"structure": structure_to_json(st), "algebra_dim": st.algebra_dim}, 0
 
 
-def _cmd_expect(args, cfg):
-    T = _load_matrix(args.t)
-    A = _load_algebra(args.algebra, cfg)
+def _expect(args, cfg, T, A):
     E = twirl_expectation(T, A, cfg)
     D = double_commutant(A, full_matrix_algebra(A.ambient_dim), cfg)
     result = {
@@ -183,45 +167,20 @@ def _cmd_expect(args, cfg):
         "moved": op_norm(T - E),
         "bicommutant_residual": D.space.residual(E),
     }
-    return _envelope(args, cfg, {"t": args.t, "algebra": args.algebra}, result), 0
+    return result, 0
 
 
-def _cmd_dist(args, cfg):
-    T = _load_matrix(args.t)
-    V = _load_algebra(args.space, cfg)
-    rep = dist_opnorm(T, V.space, cfg)
-    result = {"report": report_to_json(rep), "details": jsonable(rep.details)}
-    code = 0 if rep.converged else 3
-    return _envelope(args, cfg, {"t": args.t, "space": args.space}, result), code
-
-
-def _cmd_dn(args, cfg):
-    T = _load_matrix(args.t)
-    A = _load_algebra(args.algebra, cfg)
-    B = _load_algebra(args.ambient, cfg)
-    rep = derivation_seminorm(T, A, B, cfg)
-    result = {"report": report_to_json(rep), "details": jsonable(rep.details)}
-    code = 0 if rep.converged else 3
-    return _envelope(args, cfg, {"t": args.t, "algebra": args.algebra, "ambient": args.ambient}, result), code
-
-
-def _cmd_kn(args, cfg):
-    A = _load_algebra(args.algebra, cfg)
-    B = _load_algebra(args.ambient, cfg)
+def _kn(args, cfg, A, B):
     value = kn_lower_estimate(A, B, args.samples, cfg)
-    result = {"kn_lower_estimate": jsonable(value), "samples": args.samples}
-    return _envelope(args, cfg, {"algebra": args.algebra, "ambient": args.ambient}, result), 0
+    return {"kn_lower_estimate": jsonable(value), "samples": args.samples}, 0
 
 
-def _cmd_gallery(args, cfg):
-    names = args.items.split(",") if args.items else None
-    report = run_gallery(cfg, names)
-    result = jsonable(report)
-    code = 0 if report["passed"] else 1
-    return _envelope(args, cfg, {}, result), code
+def _gallery(args, cfg):
+    report = run_gallery(cfg, args.items.split(",") if args.items else None)
+    return jsonable(report), 0 if report["passed"] else 1
 
 
-def _cmd_suite(args, cfg):
+def _suite(args, cfg):
     report, timings = run_suite(args.name, args.seed, jobs=args.jobs)
     if args.timings is not None:
         Path(args.timings).write_text(json.dumps(timings, sort_keys=True, indent=2) + "\n")
@@ -229,27 +188,54 @@ def _cmd_suite(args, cfg):
     return report, 0 if report["passed"] else 1
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "commutant": _cmd_commutant,
-    "bicommutant": _cmd_bicommutant,
-    "center": _cmd_center,
-    "normal": _cmd_normal,
-    "wedderburn": _cmd_wedderburn,
-    "expect": _cmd_expect,
-    "dist": _cmd_dist,
-    "dn": _cmd_dn,
-    "kn": _cmd_kn,
-    "gallery": _cmd_gallery,
-    "suite": _cmd_suite,
+# the order here is the order of `commutant --help`
+COMMANDS = {
+    "gen": _Command(
+        "algebra generated by matrices from a JSON file", ("generators",), _gen, (
+            _arg("--star", action="store_true", help="close under adjoints"),
+            _arg("--non-unital", action="store_true", help="do not adjoin the identity"),
+        )),
+    "commutant": _Command(
+        "relative commutant of an algebra inside an ambient algebra", ("algebra", "ambient"),
+        lambda args, cfg, A, B: _algebra_result(relative_commutant(A, B, cfg))),
+    "bicommutant": _Command(
+        "double commutant relative to an ambient algebra", ("algebra", "ambient"), _bicommutant),
+    "normal": _Command(
+        "test whether an algebra equals its double commutant", ("algebra", "ambient"), _normal,
+        (_arg("--expect", choices=("normal", "nonnormal")),)),
+    "center": _Command(
+        "center of an algebra", ("algebra",),
+        lambda args, cfg, A: _algebra_result(center(A, cfg))),
+    "wedderburn": _Command(
+        "block decomposition of a selfadjoint algebra", ("algebra",), _wedderburn),
+    "expect": _Command(
+        "averaging projection onto the double commutant", ("t", "algebra"), _expect),
+    "dist": _Command(
+        "operator-norm distance from a matrix to an algebra", ("t", "space"),
+        lambda args, cfg, T, V: _bracket_result(dist_opnorm(T, V.space, cfg))),
+    "dn": _Command(
+        "commutant derivation seminorm", ("t", "algebra", "ambient"),
+        lambda args, cfg, T, A, B: _bracket_result(derivation_seminorm(T, A, B, cfg))),
+    "kn": _Command(
+        "empirical lower bound for the metric constant", ("algebra", "ambient"), _kn,
+        (_arg("--samples", type=int, default=200),)),
+    "gallery": _Command(
+        "run the worked-example catalog", (), _gallery,
+        (_arg("--items", help="comma-separated item names (default: all)"),)),
+    "suite": _Command(
+        "run a whole verification suite", (), _suite, (
+            _arg("name", choices=("acceptance", "invariants")),
+            _arg("--jobs", type=int, default=1, help="worker processes (at most one per task)"),
+            _arg("--timings", help="write wall-clock timings JSON here"),
+        ), envelope=False),
 }
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-7, help="equality tolerance")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--restarts", type=int, default=20, help="ascent restarts")
-    p.add_argument("--output", default="-", help="report path, - for stdout")
+_COMMON = (
+    _arg("--tol", type=float, default=1e-7, help="equality tolerance"),
+    _arg("--seed", type=int, default=0, help="RNG seed"),
+    _arg("--restarts", type=int, default=20, help="ascent restarts"),
+    _arg("--output", default="-", help="report path, - for stdout"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,74 +244,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-dimensional commutant and seminorm toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="algebra generated by matrices from a JSON file")
-    p.add_argument("--generators", required=True)
-    p.add_argument("--star", action="store_true", help="close under adjoints")
-    p.add_argument("--non-unital", action="store_true", help="do not adjoin the identity")
-    _add_common(p)
-
-    for name, helptext in (
-        ("commutant", "relative commutant of an algebra inside an ambient algebra"),
-        ("bicommutant", "double commutant relative to an ambient algebra"),
-        ("normal", "test whether an algebra equals its double commutant"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--algebra", required=True)
-        p.add_argument("--ambient", required=True)
-        if name == "normal":
-            p.add_argument("--expect", choices=("normal", "nonnormal"))
-        _add_common(p)
-
-    for name, helptext in (
-        ("center", "center of an algebra"),
-        ("wedderburn", "block decomposition of a selfadjoint algebra"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--algebra", required=True)
-        _add_common(p)
-
-    p = sub.add_parser("expect", help="averaging projection onto the double commutant")
-    p.add_argument("--t", required=True)
-    p.add_argument("--algebra", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("dist", help="operator-norm distance from a matrix to an algebra")
-    p.add_argument("--t", required=True)
-    p.add_argument("--space", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("dn", help="commutant derivation seminorm")
-    p.add_argument("--t", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--ambient", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("kn", help="empirical lower bound for the metric constant")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--ambient", required=True)
-    p.add_argument("--samples", type=int, default=200)
-    _add_common(p)
-
-    p = sub.add_parser("gallery", help="run the worked-example catalog")
-    p.add_argument("--items", help="comma-separated item names (default: all)")
-    _add_common(p)
-
-    p = sub.add_parser("suite", help="run a whole verification suite")
-    p.add_argument("name", choices=("acceptance", "invariants"))
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per task)")
-    p.add_argument("--timings", help="write wall-clock timings JSON here")
-    _add_common(p)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for flag in cmd.inputs:
+            p.add_argument(f"--{flag}", required=True)
+        for flags, kwargs in cmd.extra + _COMMON:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
         cfg = _cfg_from(args)
-        payload, code = _HANDLERS[args.command](args, cfg)
-        _emit(payload, args.output)
+        loaded = [_LOADERS[flag](getattr(args, flag), cfg) for flag in cmd.inputs]
+        payload, code = cmd.run(args, cfg, *loaded)
+        if cmd.envelope:
+            payload = {
+                "command": args.command,
+                "cfg": dataclasses.asdict(cfg),
+                "inputs": {flag: getattr(args, flag) for flag in cmd.inputs},
+                "result": payload,
+            }
+        text = canonical_dumps(payload) + "\n"
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.output).write_text(text)
     except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

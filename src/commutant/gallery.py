@@ -233,7 +233,7 @@ def paired_copies_report(a, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     whenever a has at least two distinct eigenvalues.
     """
     a = as_matrix(a)
-    if op_norm(a - a.conj().T) > DEFAULT_CONFIG.eq_tol * max(1.0, op_norm(a)):
+    if op_norm(a - a.conj().T) > cfg.eq_tol * max(1.0, op_norm(a)):
         raise InvalidInputError("generator must be self-adjoint")
     k = a.shape[0]
     zero = np.zeros((k, k), dtype=np.complex128)
@@ -388,13 +388,6 @@ def polynomial_normality_sweep(
 # stability of normality under direct sums and matrix ampliation
 
 
-def _embed(mat: np.ndarray, offset: int, total: int) -> np.ndarray:
-    out = np.zeros((total, total), dtype=np.complex128)
-    k = mat.shape[0]
-    out[offset : offset + k, offset : offset + k] = mat
-    return out
-
-
 def _summand_menu(rng, cfg: NumericConfig):
     """A normal subalgebra of a small full algebra, varied by draw."""
     pick = int(rng.integers(0, 5))
@@ -434,40 +427,27 @@ def structure_stability_report(
     failures = 0
     for idx in range(instances):
         rng = cfg.rng(303, idx)
+        fewest = 2 if idx % 2 == 0 else 1
+        parts = [_summand_menu(rng, cfg) for _ in range(int(rng.integers(fewest, fewest + 2)))]
+        sizes = [m for _, m in parts]
+        total = sum(sizes)
+        ingredient_ok = all(is_normal(A, full_matrix_algebra(m), cfg)[0] for A, m in parts)
+        zeros = [np.zeros((m, m)) for m in sizes]
+        basis = [
+            direct_sum(*zeros[:i], e, *zeros[i + 1 :])
+            for i, (A, _) in enumerate(parts)
+            for e in A.basis
+        ]
         if idx % 2 == 0:
-            count = int(rng.integers(2, 4))
-            parts = [_summand_menu(rng, cfg) for _ in range(count)]
-            sizes = [m for _, m in parts]
-            total = sum(sizes)
-            ingredient_ok = all(
-                is_normal(A, full_matrix_algebra(m), cfg)[0] for A, m in parts
-            )
-            basis = []
-            offset = 0
-            for A, m in parts:
-                basis.extend(_embed(e, offset, total) for e in A.basis)
-                offset += m
             summed = algebra_from_space(orthonormalize(basis, ambient_dim=total), cfg)
             ambient = block_algebra([(m, 1) for m in sizes])
             flag, _ = is_normal(summed, ambient, cfg)
             kind = "direct-sum"
             described = [int(m) for m in sizes]
         else:
-            count = int(rng.integers(1, 3))
-            parts = [_summand_menu(rng, cfg) for _ in range(count)]
-            sizes = [m for _, m in parts]
-            total = sum(sizes)
             k = 2
             U = haar_unitary(rng, total)
-            conj = lambda e: U @ e @ U.conj().T
-            ingredient_ok = all(
-                is_normal(A, full_matrix_algebra(m), cfg)[0] for A, m in parts
-            )
-            ebasis = []
-            offset = 0
-            for A, m in parts:
-                ebasis.extend(conj(_embed(e, offset, total)) for e in A.basis)
-                offset += m
+            ebasis = [U @ e @ U.conj().T for e in basis]
             E = algebra_from_space(orthonormalize(ebasis, ambient_dim=total), cfg)
             D = block_algebra([(m, 1) for m in sizes], U)
             ingredient_ok = ingredient_ok and is_normal(E, D, cfg)[0]

@@ -545,18 +545,23 @@ def derivation_seminorm(
 ) -> DistanceReport:
     """sup ||UT - TU|| over unitaries U in the commutant of A inside ambient.
 
-    Vanishes exactly on the double commutant.  The report is a bracket:
-    lower_bound is the value of the ascent's witness unitary, and
-    upper_bound is 2 dist(T, A'') from the certified distance, or with
-    compute_upper=False the cheaper 2 ||T - P T|| for the orthogonal
-    projection P onto A''.  converged means the bracket closed to 1e-6
-    relative to max(1, ||T||).  As diagnostics only,
+    For a selfadjoint A it vanishes exactly on the double commutant.  For
+    a non-selfadjoint A the unitaries searched are those of C*(A)', the
+    commutant of A together with its adjoints, a smaller group than the
+    unitaries of A', so the value can be 0 off A'': for the polynomial
+    algebra of a generic matrix, A'' = A while C*(A)' is the scalars, and
+    every T gets value 0, converged, at a positive dist(T, A'').  For a
+    non-selfadjoint A the details also carry a separately estimated sup
+    over contractions of the plain commutant A'.
+
+    The report is a bracket: lower_bound is the value of the ascent's
+    witness unitary, and upper_bound is 2 dist(T, A'') from the certified
+    distance, or with compute_upper=False the cheaper 2 ||T - P T|| for
+    the orthogonal projection P onto A''.  converged means the bracket
+    closed to 1e-6 relative to max(1, ||T||).  As diagnostics only,
     details["restart_consensus"] counts the starts that reached the best
     value and details["polar_cap_hits"] the polar phases that stopped at
-    their iteration cap with a restart still gaining.  For a
-    non-selfadjoint A the unitary group used is that of the commutant of A
-    together with its adjoints, and the details carry a separately
-    estimated sup over contractions of the plain commutant.
+    their iteration cap with a restart still gaining.
     """
     if model is None:
         model = commutant_model(A, ambient, cfg)
@@ -571,10 +576,9 @@ def derivation_seminorm(
         return _report(0.0, np.eye(n, dtype=np.complex128), 0.0, 0.0, 0, scale, details)
     W = st.unitary
     Tt = W.conj().T @ Tm @ W
-    R = max(1, cfg.opt_restarts)
     layout = st.scatter
     draws = []
-    for restart in range(R):
+    for restart in range(cfg.opt_restarts):
         rng = cfg.rng(205, restart)
         draws.append(
             layout.group([

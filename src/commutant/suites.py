@@ -50,7 +50,13 @@ from .seminorms import (
     kn_lower_estimate,
     sampling_seminorm_bound,
 )
-from .serialize import canonical_dumps
+from .serialize import (
+    algebra_from_json,
+    algebra_to_json,
+    canonical_dumps,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 __all__ = ["run_suite", "SUITE_NAMES", "ACCEPTANCE_BUDGETS", "TOTAL_BUDGET"]
 
@@ -433,8 +439,6 @@ def _inv_seminorm_laws(seed: int) -> dict:
 
 
 def _inv_serialization_round_trip(seed: int) -> dict:
-    from .serialize import algebra_from_json, algebra_to_json, matrix_from_json, matrix_to_json
-
     cfg = _cfg(seed)
     ok = True
     for i in range(5):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from commutant.cli import main
+from commutant.cli import COMMANDS, main
 from commutant.config import StructureError
 from commutant.gallery import corner_traceless_algebra, selfcommutant_triangular
 from commutant.serialize import algebra_to_json, matrix_to_json
@@ -132,13 +132,15 @@ def test_gallery_unknown_item_exits_two(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_size_beyond_cap_exits_two_without_traceback(capsys):
-    code = main(["center", "--algebra", "full:65"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert "Traceback" not in captured.err
+def test_size_beyond_cap_exits_two_without_traceback(capsys, tmp_path):
+    gens = write_json(tmp_path / "g65.json", [matrix_to_json(np.eye(65))])
+    for argv in (["center", "--algebra", "full:65"], ["gen", "--generators", gens]):
+        code = main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -213,6 +215,7 @@ def test_suite_invariants_deterministic_and_records_cfg(capsys, tmp_path):
     assert code == 0
     assert out1["passed"] is True
     assert out1["cfg"]["rng_seed"] == 7
+    assert "inputs" not in out1
     clock = json.loads(timings.read_text())
     assert set(clock) > {"total"}
     code, out2 = run_cli(capsys, "suite", "invariants", "--seed", "7")
@@ -255,3 +258,48 @@ def test_custom_tol_and_seed_recorded(capsys):
     assert code == 0
     assert out["cfg"]["eq_tol"] == 1e-8
     assert out["cfg"]["rng_seed"] == 3
+
+
+# every subcommand with the input flags it takes; {t} and {gens} are files
+SUBCOMMAND_INPUTS = {
+    "gen": {"generators": "{gens}"},
+    "commutant": {"algebra": "diag:2", "ambient": "full:2"},
+    "bicommutant": {"algebra": "diag:2", "ambient": "full:2"},
+    "normal": {"algebra": "diag:2", "ambient": "full:2"},
+    "center": {"algebra": "full:2"},
+    "wedderburn": {"algebra": "diag:2"},
+    "expect": {"t": "{t}", "algebra": "diag:2"},
+    "dist": {"t": "{t}", "space": "scalars:2"},
+    "dn": {"t": "{t}", "algebra": "scalars:2", "ambient": "full:2"},
+    "kn": {"algebra": "diag:2", "ambient": "full:2"},
+    "gallery": {},
+}
+
+
+def test_every_subcommand_is_covered():
+    assert set(COMMANDS) == set(SUBCOMMAND_INPUTS) | {"suite"}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_INPUTS))
+def test_envelope_echoes_exactly_the_input_flags(capsys, tmp_path, name):
+    files = {
+        "{t}": write_json(tmp_path / "t.json", matrix_to_json(np.diag([1.0, 2.0]))),
+        "{gens}": write_json(tmp_path / "g.json", [matrix_to_json(np.diag([1.0, 2.0]))]),
+    }
+    inputs = {flag: files.get(v, v) for flag, v in SUBCOMMAND_INPUTS[name].items()}
+    extra = {"kn": ["--samples", "3"], "gallery": ["--items", "corner-traceless-4x4"]}
+    argv = [name] + [x for flag, v in inputs.items() for x in (f"--{flag}", v)]
+    code, out = run_cli(capsys, *argv, *extra.get(name, []))
+    assert code == 0
+    assert set(out) == {"command", "cfg", "inputs", "result"}
+    assert out["command"] == name
+    assert out["inputs"] == inputs
+    assert out["cfg"]["rng_seed"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_subcommand_help_exits_zero(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: commutant {name} ")

@@ -14,7 +14,7 @@ from commutant.algebra import (
     relative_commutant,
 )
 from commutant.config import DEFAULT_CONFIG as CFG
-from commutant.config import InvalidInputError
+from commutant.config import InvalidInputError, NumericConfig
 from commutant.gallery import (
     _ampliation,
     commutative_normality_scan,
@@ -190,6 +190,13 @@ class TestPairedCopies:
     def test_rejects_non_selfadjoint(self):
         with pytest.raises(InvalidInputError):
             paired_copies_report(np.array([[0.0, 1.0], [0.0, 0.0]]), CFG)
+
+    def test_selfadjoint_check_uses_the_given_tolerance(self):
+        a = np.array([[1.0, 1e-6], [0.0, 2.0]])
+        rep = paired_copies_report(a, NumericConfig(rank_tol=1e-7, eq_tol=1e-5))
+        assert rep["algebra_dim"] == 2
+        with pytest.raises(InvalidInputError):
+            paired_copies_report(a, CFG)
 
 
 class TestNormalityScans:

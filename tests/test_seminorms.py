@@ -691,8 +691,8 @@ def test_kn_masa_at_most_one():
 
 
 def test_kn_detects_non_normal():
-    # triangular generator: the bicommutant outgrows the algebra, and some
-    # directions have distance but no seminorm
+    # span{I, E12} is normal (A' = A), but C*(A)' is the scalars, so the
+    # seminorm over its unitaries is 0 where the distance is not
     E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     A = algebra_from_space(orthonormalize([np.eye(2), E12], CFG, 2))
     est = kn_lower_estimate(A, full_matrix_algebra(2), 10, CFG)
