@@ -14,13 +14,18 @@ The relative commutant of a set S inside an ambient algebra B is
 {X in B : XS = SX for every S}.  Its elements commute with a random
 Hermitian H near span(S), so they are block diagonal on H's eigenspaces;
 the search runs on those blocks inside B, which for a *-closed S with a
-generic H in M_n leaves n unknowns instead of n^2, and on all of B when
-S is far from *-closed.  There it is solved against a few random
-combinations of S, whose nullspace can only be too large, and then
-certified against every element of S; elements that fail join the system
-and it is solved again.  Generated algebras are closed Krylov-style:
-each round multiplies only the directions the last round added by the
-generators.
+generic H in M_n leaves n unknowns instead of n^2.  When S is far from
+*-closed, H's eigenvalues merge into one cluster; then, in M_n, the search
+runs on the eigenvectors of a random Z in span(S), on which the commutant
+is block diagonal too, and that again leaves n unknowns for the
+polynomial algebra of a generic matrix.  A defective or badly conditioned
+Z, or a proper ambient, keeps all of B.  The search space is solved against
+a few random combinations of S, whose nullspace can only be too large, and
+the result certified against every element of S; elements that fail join
+the system and it is solved again.  A solve on Z's eigenvectors with a
+singular value just above the rank cut is redone on all of B.  Generated
+algebras are closed Krylov-style: each round multiplies only the
+directions the last round added by the generators.
 """
 
 from __future__ import annotations
@@ -46,9 +51,10 @@ from .linalg import (
 _MAX_CLOSURE_WORK = 10**10
 # random combinations of the commuted set in the first commutant solve
 _COMMUTANT_PROBES = 3
-# eigenvalues of the search element H merge closer than this times
-# eps_H / rank_tol: a commutant element then leaves the search space by at
-# most rank_tol / 100 of its norm
+# eigenvalues of the search element merge closer than this times
+# eps_H / rank_tol for H, or kappa(V) eps_Z / rank_tol for Z = V diag V^-1:
+# a commutant element's entries off the clusters, in the eigenbasis, are
+# then at most rank_tol / 100 of its norm
 _MERGE_FACTOR = 200.0
 
 
@@ -212,17 +218,34 @@ def _commutator_system(mats: np.ndarray, Bstack: np.ndarray) -> np.ndarray:
     return D.reshape(k, m, n * n).transpose(0, 2, 1).reshape(k * n * n, m)
 
 
+def _clusters(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Labels of the eigenvalues, equal within chains of steps of at most tol.
+
+    Each label is the smallest index of its chain, so one cluster is all 0.
+    """
+    near = np.abs(vals[:, None] - vals[None, :]) <= tol
+    label = np.arange(len(vals))
+    while True:
+        grown = np.where(near, label, len(vals)).min(axis=1)
+        if np.array_equal(grown, label):
+            return label
+        label = grown
+
+
 def _search_space(
     A: np.ndarray, span: OperatorSubspace, ambient: MatrixAlgebra, cfg: NumericConfig
-) -> np.ndarray:
-    """Orthonormal basis of the ambient elements that commute with one Hermitian H.
+):
+    """Orthonormal basis of ambient elements holding the commutant, and its band.
 
     H = Z + Z* for a random combination Z of A, and eps_H adds eigh's
-    backward error n eps ||H|| to H's distance from span(A).  One cluster
-    leaves the ambient basis as it is.  On all of M_n the basis is V E_ij V*
-    for i, j in one cluster; in a proper ambient it is the span, in ambient
-    coordinates, of the directions X with ||HX - XH|| <= tol ||X||, which
-    holds every X that is block diagonal on the clusters.
+    backward error n eps ||H|| to H's distance from span(A).  On all of M_n
+    the basis is V E_ij V* for i, j in one cluster of H's eigenvalues; in a
+    proper ambient it is the span, in ambient coordinates, of the directions
+    X with ||HX - XH|| <= tol ||X||, which holds every X that is block
+    diagonal on the clusters.  When H's eigenvalues form one cluster and the
+    ambient is M_n, the clusters of Z's eigenvectors take over (see
+    _eigenvector_space); otherwise one cluster leaves the ambient basis as
+    it is.  The band is 1 except on Z's eigenvectors.
     """
     n = ambient.ambient_dim
     rng = cfg.rng(112)
@@ -232,23 +255,93 @@ def _search_space(
     vals, V = np.linalg.eigh(H)
     eps_H = span.residual(H) + n * np.finfo(float).eps * max(-vals[0], vals[-1])
     tol = _MERGE_FACTOR * eps_H / cfg.rank_tol
-    cluster = np.concatenate([[0], np.cumsum(np.diff(vals) > tol)])
-    if cluster[-1] == 0:
-        return ambient.basis
+    cluster = _clusters(vals, tol)
+    if not cluster.any():
+        if ambient.dim == n * n:
+            return _eigenvector_space(A, coeff, Z, span, ambient, cfg)
+        return ambient.basis, 1.0
     if ambient.dim == n * n:
         i, j = np.nonzero(cluster[:, None] == cluster[None, :])
-        return V.T[i][:, :, None] * V.T[j].conj()[:, None, :]
+        return V.T[i][:, :, None] * V.T[j].conj()[:, None, :], 1.0
     svals, Vh = rank_svd(_commutator_system(H[None], ambient.basis))
-    return np.tensordot(Vh[int(np.sum(svals > tol)) :].conj(), ambient.basis, axes=1)
+    K = np.tensordot(Vh[int(np.sum(svals > tol)) :].conj(), ambient.basis, axes=1)
+    return K, 1.0
 
 
-def _certified_nullspace(A: np.ndarray, K: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+def _eigenvector_space(
+    A: np.ndarray,
+    coeff: np.ndarray,
+    Z: np.ndarray,
+    span: OperatorSubspace,
+    ambient: MatrixAlgebra,
+    cfg: NumericConfig,
+):
+    """span{V E_ij V^-1 : i, j in one cluster} for Z = V diag(lam) V^-1, and its band.
+
+    Z = sum_k coeff_k A_k lies in span(A).  eig gives Z V = V diag(lam) + R,
+    so V^-1 Z V = diag(lam) + G with G = V^-1 R, and eps_Z adds ||G||_F to
+    Z's distance from span(A).  Let X commute with every A_k up to sigma:
+    ||A_k X - X A_k|| <= sigma ||X||, so ||Z X - X Z|| <= |coeff|_1 sigma ||X||
+    up to Z's distance from span(A).  Y = V^-1 X V has
+    (lam_i - lam_j) Y_ij = (V^-1 (Z X - X Z) V - (G Y - Y G))_ij, and
+    ||Y|| <= kappa(V) ||X||, so with e = |coeff|_1 sigma + 2 eps_Z,
+    |Y_ij| <= kappa(V) e ||X|| / |lam_i - lam_j|.
+
+    Merge rule: eigenvalues closer than tol = 200 kappa eps_Z / rank_tol
+    share a cluster, so for an exact commutant element (sigma = 0) every
+    entry of Y off the clusters is below rank_tol / 100 of ||X||, as with H.
+
+    Band: the entries off the clusters have ||Y_off||_F <= kappa e ||X|| / gap,
+    gap the least distance between eigenvalues of different clusters, and
+    V Y_in V^-1, which lies in the space, is within kappa ||Y_off||_F of X.
+    Its commutators with the A_k are at most sigma + 2 max||A_k|| kappa^2 e / gap.
+    For sigma up to the solve's cut, which is at least rank_tol max||A_k||,
+    that is at most band * cut with
+    band = 1 + 2 kappa^2 (|coeff|_1 max||A_k|| + 2 eps_Z / rank_tol) / gap.
+    Restriction to a subspace only raises the small singular values, and
+    the solve's singular values weigh these commutators by the probe
+    coefficients, so to first order a solve on the space with none in
+    (cut, band * cut] keeps as many directions as a solve on M_n;
+    relative_commutant redoes any other solve on the ambient.  The band
+    covers sets within about the cut of one with a larger commutant (a
+    perturbed polynomial algebra), and an exact element that the factor
+    kappa from Y back to X lifts over the cut.
+
+    A numerically singular V (a defective Z) or one cluster leaves the
+    ambient basis, with band 1.
+    """
+    n = Z.shape[0]
+    lam, V = np.linalg.eig(Z)
+    s = np.linalg.svd(V, compute_uv=False)
+    if s[-1] <= n * np.finfo(float).eps * s[0]:
+        return ambient.basis, 1.0
+    kappa = s[0] / s[-1]
+    Vinv = np.linalg.inv(V)
+    eps_Z = span.residual(Z) + np.linalg.norm(Vinv @ (Z @ V - V * lam))
+    cluster = _clusters(lam, _MERGE_FACTOR * kappa * eps_Z / cfg.rank_tol)
+    if not cluster.any():
+        return ambient.basis, 1.0
+    same = cluster[:, None] == cluster[None, :]
+    gap = np.abs(lam[:, None] - lam[None, :])[~same].min()
+    norm_max = np.linalg.norm(A.reshape(len(A), -1), axis=1).max()
+    lift = np.abs(coeff).sum() * norm_max + 2.0 * eps_Z / cfg.rank_tol
+    band = 1.0 + 2.0 * kappa**2 * lift / gap
+    i, j = np.nonzero(same)
+    units = V.T[i][:, :, None] * Vinv[j][:, None, :]
+    Q = np.linalg.qr(units.reshape(len(i), n * n).T)[0]
+    return Q.T.reshape(-1, n, n), band
+
+
+def _certified_nullspace(
+    A: np.ndarray, K: np.ndarray, cfg: NumericConfig, band: float = 1.0
+):
     """Basis of {X in span(K) : XS = SX for every S in A}, for orthonormal K.
 
     The numerical nullspace, in K's coordinates, of the commutator maps of a
     few random combinations of A.  That nullspace holds the commutant and
     can only be too large, so it is certified against every element of A;
     elements above the rank cut join the system and it is solved again.
+    None when the last solve has a singular value in (cut, band * cut].
     """
     count = len(A)
     if not count or not len(K):
@@ -272,7 +365,7 @@ def _certified_nullspace(A: np.ndarray, K: np.ndarray, cfg: NumericConfig) -> np
         comm = np.matmul(A[:, None], X[None]) - np.matmul(X[None], A[:, None])
         failed = (np.linalg.norm(comm.reshape(count, -1), axis=1) > cut) & ~joined
         if not failed.any():
-            return X
+            return None if np.any((svals > cut) & (svals <= band * cut)) else X
         joined |= failed
         system = np.concatenate([system, A[failed]])
 
@@ -293,7 +386,17 @@ def relative_commutant(
     different clusters differ by more than tol = 200 eps_H / rank_tol, so
     the part of X outside K is at most rank_tol / 100 of X, two orders
     below the rank cut of the solve.  A set that is not *-closed, or a tight
-    rank_tol, makes tol exceed the spectrum: one cluster, K is the ambient.
+    rank_tol, makes tol exceed the spectrum: one cluster.
+
+    One cluster in M_n: X also commutes with Z, the random element of
+    span(S) that H was built from, so for Z = V diag(lam) V^-1 it lies in
+    K = span{V E_ij V^-1 : i, j in one cluster of Z's eigenvalues}, merged
+    by a gap rule scaled by kappa(V) (see _eigenvector_space).  For the
+    polynomial algebra of a generic matrix K has n dimensions.  A solve on
+    this K with a singular value in a band just above the rank cut may
+    have lifted a commutant direction over the cut, and only such a solve
+    is redone on the ambient.  A defective Z, one cluster again, or a
+    proper ambient makes K the ambient.
 
     Solve: the numerical nullspace, in K's coordinates, of the commutator
     maps of a few random combinations of S, certified against every element
@@ -308,7 +411,10 @@ def relative_commutant(
     if ambient.dim == 0:
         return MatrixAlgebra(OperatorSubspace(n, ()), False, ambient.selfadjoint)
     span = S.space if isinstance(S, MatrixAlgebra) else orthonormalize(A, cfg, ambient_dim=n)
-    X = _certified_nullspace(A, _search_space(A, span, ambient, cfg), cfg)
+    K, band = _search_space(A, span, ambient, cfg)
+    X = _certified_nullspace(A, K, cfg, band)
+    if X is None:
+        X = _certified_nullspace(A, ambient.basis, cfg)
     space = OperatorSubspace(n, X)
     # a False flag may be a false negative (the commutant of a *-closed
     # set), so only it is rechecked

@@ -678,7 +678,12 @@ def kn_lower_estimate(
 
     Samples unit-Frobenius-norm elements of the ambient algebra and takes
     the worst dist/seminorm ratio.  A sample with vanishing seminorm but
-    positive distance shows A is not normal; the estimate is then infinite.
+    positive distance makes the estimate infinite.  For a selfadjoint A
+    that shows A is not normal, since the seminorm vanishes exactly on A''.
+    For a non-selfadjoint A it shows nothing of the kind: the seminorm runs
+    over the unitaries of C*(A)', which can be the scalars while A is
+    normal, and span{I, E_12} and the polynomial algebra of a generic
+    matrix are normal yet give inf.
     """
     best = 0.0
     for dn, dist in _sampled_pairs(A, ambient, num_samples, 208, cfg):

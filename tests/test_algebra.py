@@ -81,8 +81,9 @@ def _perturbed_block_bases(count):
             yield B, delta, B.basis + delta * noise
 
 
-# kind: (n, unknowns of the eigenspace search): the sum of H's eigenvalue
-# multiplicities squared for a *-closed set, all of M_n otherwise
+# kind: (n, unknowns of the search space): the sum of H's eigenvalue
+# multiplicities squared for a *-closed set, the sum of Z's for a
+# diagonalizable Z, all of M_n for a defective one
 _PROBE_CASES = {
     "scalars": (6, 36),
     "diag": (6, 6),
@@ -90,10 +91,43 @@ _PROBE_CASES = {
     "blocks": (6, 12),
     "blocks-23-12": (8, 22),
     "blocks-22-22": (8, 16),
-    "poly": (6, 36),
+    "poly": (6, 6),
     "jordan": (6, 36),
     "corner-row": (6, 36),
 }
+
+
+def _non_star_closed_set(kind):
+    """One set far from *-closed, by kind, and the ambient dimension."""
+    family, _, arg = kind.partition("-")
+    rng = np.random.default_rng(33)
+    if family == "poly":
+        n = int(arg)
+        return generate_algebra([random_matrix(rng, n)], CFG), n
+    if family == "a+a":
+        # Z = p(a) + p(a) has every eigenvalue exactly twice
+        n = int(arg)
+        return generate_algebra([np.kron(np.eye(2), random_matrix(rng, n // 2))], CFG), n
+    if family == "jordan":
+        J = np.diag(np.ones(5), 1)
+        if arg:
+            J[-1, 0] = float(arg)
+        return generate_algebra([J], CFG), 6
+    if family == "corner":
+        units = [np.eye(6)[:, [0]] @ np.eye(6)[[j], :] for j in range(1, 6)]
+        return generate_algebra(units, CFG), 6
+    # a polynomial algebra's basis, each element moved by delta
+    n, delta = arg.split("/")
+    P = generate_algebra([random_matrix(rng, int(n))], CFG)
+    noise = np.stack([random_matrix(rng, int(n)) for _ in range(P.dim)])
+    return P.basis + float(delta) * noise, int(n)
+
+
+_NON_STAR_CLOSED = (
+    [f"poly-{n}" for n in range(3, 13)]
+    + ["a+a-4", "a+a-6", "a+a-8", "jordan-", "jordan-1e-6", "jordan-1e-10", "corner-"]
+    + [f"perturbed-{n}/{d}" for n in (4, 8) for d in ("0", "1e-12", "1e-10", "1e-8")]
+)
 
 
 class TestRelativeCommutant:
@@ -204,7 +238,7 @@ class TestRelativeCommutant:
         oracle = orthonormalize(kron_commutant_basis(list(S.basis)), CFG)
         assert C.dim == oracle.dim
         assert subspace_distance(C.space, oracle) <= CFG.eq_tol
-        # no solve saw more unknowns than H's eigenspace blocks hold
+        # no solve saw more unknowns than the search space holds
         assert max(widths) <= search_dim
         if search_dim == n * n:
             # one cluster: the search space is the whole ambient, as is the solve
@@ -229,7 +263,7 @@ class TestRelativeCommutant:
 
 
 class TestEigenspaceSearch:
-    """relative_commutant solves on the eigenspaces of one Hermitian H."""
+    """relative_commutant solves on the eigenspaces of H, or on the eigenvectors of Z."""
 
     @pytest.mark.parametrize("kind", ["center", "inside-blocks"])
     def test_proper_ambient_results_stay_in_the_ambient(self, kind, monkeypatch):
@@ -256,6 +290,18 @@ class TestEigenspaceSearch:
                 C = relative_commutant(S, ambient, cfg)
                 assert C.dim == len(_full_ambient_solve(S, ambient, cfg)), delta
                 assert max(ambient.space.residual(X) for X in C.basis) <= 1e-12
+
+    @pytest.mark.parametrize("kind", _NON_STAR_CLOSED)
+    def test_non_star_closed_sets_match_the_oracles(self, kind):
+        S, n = _non_star_closed_set(kind)
+        full = full_matrix_algebra(n)
+        C = relative_commutant(S, full, CFG)
+        assert C.dim == len(_full_ambient_solve(S, full)), kind
+        mats = list(S.basis) if isinstance(S, MatrixAlgebra) else list(S)
+        oracle = orthonormalize(kron_commutant_basis(mats), CFG)
+        assert C.dim == oracle.dim, kind
+        assert subspace_distance(C.space, oracle) <= CFG.eq_tol
+        assert verify_algebra(C, CFG)["passed"]
 
     def test_tight_rank_tol_matches_oracle(self):
         cfg = NumericConfig(rank_tol=1e-14, eq_tol=1e-12)
