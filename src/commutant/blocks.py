@@ -1,11 +1,13 @@
 """Block decomposition of selfadjoint algebras and averaging over their unitaries.
 
 A selfadjoint unital subalgebra of M_n is, after a unitary change of basis,
-a direct sum of blocks M_s tensor I_m.  wedderburn() finds that basis: the
-minimal central projections come from the spectral clusters of a generic
-selfadjoint central element, and inside each central block the adapted
-columns are built from exact matrix-unit partial isometries, so the final
-conjugated basis is block diagonal to machine precision.
+a direct sum of blocks M_s tensor I_m.  wedderburn() finds that basis from
+one generic element (Murota, Kanno, Kojima and Kojima, Japan J. Indust.
+Appl. Math. 27, 2010): the eigenspaces of a generic selfadjoint H in the
+algebra are its minimal projections, a generic G in the algebra links them
+into blocks, and G's compressions between linked eigenspaces are scaled
+into matrix-unit partial isometries that give the adapted columns.  A draw
+is kept only when the conjugated basis is certified block diagonal.
 
 twirl_expectation() averages U* T U over the Haar measure of the unitary
 group of the commutant.  On each block of the commutant that average is a
@@ -21,14 +23,14 @@ import numpy as np
 
 from .algebra import (
     MatrixAlgebra,
+    _clusters,
     block_algebra,
     block_layout,
-    center,
     full_matrix_algebra,
     relative_commutant,
 )
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig, StructureError
-from .linalg import OperatorSubspace, as_matrix, orthonormalize
+from .linalg import OperatorSubspace, as_matrix
 
 _REDRAWS = 5
 
@@ -99,33 +101,83 @@ class _BlockScatter:
         return [Xf[:, idx].sum(axis=-1) for idx in self.flat]
 
 
-def _cluster_sorted(vals: np.ndarray, count: int):
-    """Split sorted eigenvalues into `count` groups at the largest gaps.
+def _generic_element(space: OperatorSubspace, rng) -> np.ndarray:
+    coeff = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    return np.tensordot(coeff, space.basis, axes=1)
 
-    Returns the list of index groups, or None when the grouping is not
-    clean enough to trust (separating gaps not well clear of the spread
-    inside groups).
+
+def _generic_selfadjoint(space: OperatorSubspace, rng) -> np.ndarray:
+    X = _generic_element(space, rng)
+    return X + X.conj().T
+
+
+def _adapted_columns(A: MatrixAlgebra, rng):
+    """One draw of the adapted unitary and block sizes, or None to redraw.
+
+    The eigenspaces E_i of a generic selfadjoint H in A are minimal
+    projections of A, and for a generic G in A, E_i* G E_j is zero exactly
+    when E_i and E_j lie in different blocks.  Inside a block it is a
+    nonzero multiple of a unitary, so E_j (E_j* G E_0) / sqrt(lambda_j)
+    carries E_0 onto E_j by a partial isometry of A.
     """
-    k = vals.size
-    if count == 1:
-        groups = [np.arange(k)]
-    else:
-        gaps = np.diff(vals)
-        cuts = np.sort(np.argsort(gaps)[-(count - 1) :])
-        groups, start = [], 0
-        for c in cuts:
-            groups.append(np.arange(start, c + 1))
-            start = c + 1
-        groups.append(np.arange(start, k))
+    vals, vecs = np.linalg.eigh(_generic_selfadjoint(A.space, rng))
+    # groups spread at most 1e-8 and sit at least 1e-6 apart, relative to H
     scale = max(1.0, float(vals[-1] - vals[0]))
-    spread = max(float(vals[g[-1]] - vals[g[0]]) for g in groups)
-    if count > 1:
-        sep = min(float(vals[g[0]] - vals[prev[-1]]) for prev, g in zip(groups, groups[1:]))
-        if sep < 1e-6 * scale or (spread > 0 and sep < 10.0 * spread):
-            return None
-    if spread > 1e-8 * scale:
+    starts = np.flatnonzero(_clusters(vals, 1e-8 * scale) == np.arange(vals.size))
+    ends = np.append(starts[1:], vals.size)
+    if (vals[ends - 1] - vals[starts]).max() > 1e-8 * scale:
         return None
-    return groups
+    if (vals[starts[1:]] - vals[ends[:-1] - 1] < 1e-6 * scale).any():
+        return None
+    # a link is clearly nonzero when lambda >= 1e-10 and clearly zero when
+    # its norm is at most 1e-8, relative to G; anything between is redrawn
+    M = vecs.conj().T @ _generic_element(A.space, rng) @ vecs
+    g_scale = max(1.0, float(np.linalg.norm(M)))
+    link = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(M) ** 2, starts, 0), starts, 1))
+    sizes = ends - starts
+    lam = link**2 / sizes
+    linked = lam >= 1e-10 * g_scale**2
+    if (~linked & (link > 1e-8 * g_scale)).any():
+        return None
+    np.fill_diagonal(linked, True)
+    pieces, free = [], np.ones(starts.size, dtype=bool)
+    while free.any():
+        i = np.flatnonzero(free)[0]
+        members = np.flatnonzero(free & linked[:, i])
+        free[members] = False
+        if (sizes[members] != sizes[i]).any():
+            return None
+        cols = [vecs[:, starts[i] : ends[i]]]
+        for j in members[members != i]:
+            w = M[starts[j] : ends[j], starts[i] : ends[i]] / np.sqrt(lam[j, i])
+            cols.append(vecs[:, starts[j] : ends[j]] @ w)
+        pieces.append((members.size, int(sizes[i]), np.hstack(cols)))
+    pieces.sort(key=lambda p: (-p[0], -p[1]))
+    return np.hstack([p[2] for p in pieces]), tuple((s, m) for s, m, _ in pieces)
+
+
+def wedderburn(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> BlockStructure:
+    """Block structure of a selfadjoint unital subalgebra of M_n.
+
+    Each draw builds the adapted basis from one generic selfadjoint H and
+    one generic G in A (see _adapted_columns) and is kept only when
+    _check_structure certifies it; after _REDRAWS failed draws this raises
+    StructureError.  Blocks are ordered by decreasing (s, m); the returned
+    unitary's columns are grouped accordingly.
+    """
+    if not (A.selfadjoint and A.unital):
+        raise InvalidInputError("wedderburn needs a selfadjoint unital algebra")
+    for attempt in range(_REDRAWS):
+        drawn = _adapted_columns(A, cfg.rng(101, attempt))
+        if drawn is None:
+            continue
+        structure = BlockStructure(A.ambient_dim, *drawn)
+        try:
+            _check_structure(A, structure, cfg)
+        except StructureError:
+            continue
+        return structure
+    raise StructureError("no draw gave a certified block structure")
 
 
 def minimal_central_projections(
@@ -133,117 +185,14 @@ def minimal_central_projections(
 ) -> list:
     """Minimal projections of the center of a selfadjoint unital algebra.
 
-    Uses the spectral clusters of a random selfadjoint central element;
-    degenerate draws (clusters not separated) are redrawn.
+    These are the projections onto the column groups of wedderburn's
+    blocks; a factor gives exactly the identity.
     """
-    if not (A.selfadjoint and A.unital):
-        raise InvalidInputError("central projections need a selfadjoint unital algebra")
-    n = A.ambient_dim
-    Z = center(A, cfg)
-    c = Z.dim
-    if c == 1:
-        return [np.eye(n, dtype=np.complex128)]
-    for attempt in range(_REDRAWS):
-        H = _generic_selfadjoint(Z.space, cfg.rng(101, attempt))
-        vals, vecs = np.linalg.eigh(H)
-        groups = _cluster_sorted(vals, c)
-        if groups is None:
-            continue
-        projs = []
-        for g in groups:
-            V = vecs[:, g]
-            projs.append(V @ V.conj().T)
-        defect = max(Z.space.residual(P) for P in projs)
-        if defect <= cfg.eq_tol * np.sqrt(n):
-            return projs
-    raise StructureError("could not separate the central spectrum")
-
-
-def _range_columns(P: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(P)
-    keep = vals > 0.5
-    return vecs[:, keep]
-
-
-def _generic_selfadjoint(space: OperatorSubspace, rng) -> np.ndarray:
-    coeff = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    X = np.tensordot(coeff, space.basis, axes=1)
-    return X + X.conj().T
-
-
-def _factor_adapted_unitary(comp: OperatorSubspace, s: int, m: int, cfg: NumericConfig, key):
-    """Unitary W with W* comp W = M_s tensor I_m for a simple compressed algebra.
-
-    Build a minimal projection e_1 from the spectral clusters of a generic
-    selfadjoint element, move it around with exact partial isometries
-    v_i = e_i G e_1 / sqrt(lambda), and use the images of an orthonormal
-    basis of range(e_1) as the adapted columns.
-    """
-    d = s * m
-    if s == 1:
-        return np.eye(d, dtype=np.complex128)
-    for attempt in range(_REDRAWS):
-        rng = cfg.rng(103, *key, attempt)
-        H = _generic_selfadjoint(comp, rng)
-        vals, vecs = np.linalg.eigh(H)
-        groups = _cluster_sorted(vals, s)
-        if groups is None or any(g.size != m for g in groups):
-            continue
-        E = [vecs[:, g] for g in groups]  # d x m column blocks
-        coeff = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
-        G = np.tensordot(coeff, comp.basis, axes=1)
-        cols = [E[0]]
-        ok = True
-        for i in range(1, s):
-            # w = e_i G e_1 lands in the algebra; w* w = lambda e_1 exactly
-            W_i = E[i] @ (E[i].conj().T @ G @ E[0]) @ E[0].conj().T
-            lam = float(np.real(np.trace(W_i.conj().T @ W_i))) / m
-            if lam < 1e-10:
-                ok = False
-                break
-            cols.append((W_i / np.sqrt(lam)) @ E[0])
-        if not ok:
-            continue
-        W = np.hstack(cols)
-        if np.linalg.norm(W.conj().T @ W - np.eye(d)) > 1e-8 * d:
-            continue
-        return W
-    raise StructureError("failed to adapt a factor block")
-
-
-def wedderburn(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> BlockStructure:
-    """Block structure of a selfadjoint unital subalgebra of M_n.
-
-    Blocks are ordered by decreasing (s, m); the returned unitary's columns
-    are grouped accordingly.
-    """
-    if not (A.selfadjoint and A.unital):
-        raise InvalidInputError("wedderburn needs a selfadjoint unital algebra")
-    n = A.ambient_dim
-    projs = minimal_central_projections(A, cfg)
-    pieces = []
-    for k, P in enumerate(projs):
-        V = _range_columns(P)
-        d = V.shape[1]
-        comp = orthonormalize([V.conj().T @ B @ V for B in A.basis], cfg)
-        s = int(round(np.sqrt(comp.dim)))
-        if s * s != comp.dim:
-            raise StructureError(
-                f"compressed block dimension {comp.dim} is not a perfect square"
-            )
-        if d % s != 0:
-            raise StructureError(
-                f"central block of size {d} not divisible by factor size {s}"
-            )
-        m = d // s
-        W = _factor_adapted_unitary(comp, s, m, cfg, key=(k,))
-        pieces.append((s, m, V @ W))
-    pieces.sort(key=lambda p: (-p[0], -p[1]))
-    U = np.hstack([p[2] for p in pieces])
-    blocks = tuple((s, m) for s, m, _ in pieces)
-    structure = BlockStructure(n, U, blocks)
-    _check_structure(A, structure, cfg)
-    return structure
+    st = wedderburn(A, cfg)
+    if len(st.blocks) == 1:
+        return [np.eye(st.ambient_dim, dtype=np.complex128)]
+    cuts = np.cumsum([s * m for s, m in st.blocks])[:-1]
+    return [V @ V.conj().T for V in np.split(st.unitary, cuts, axis=1)]
 
 
 def _check_structure(A: MatrixAlgebra, st: BlockStructure, cfg: NumericConfig):

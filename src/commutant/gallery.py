@@ -248,8 +248,8 @@ def paired_copies_report(a, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     )
     equal = subspace_equal(D.space, paired, cfg)
     strict = D.dim > A.dim
-    expected_strict = _distinct_eigenvalue_count(a, cfg) >= 2
-    passed = bool(equal) and (strict or not expected_strict)
+    distinct = _distinct_eigenvalue_count(a, cfg)
+    passed = bool(equal) and (strict or distinct < 2)
     return {
         "name": "paired-copies",
         "block_size": int(k),
@@ -259,7 +259,7 @@ def paired_copies_report(a, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
         "matches_paired_copies": bool(equal),
         "paired_distance": float(subspace_distance(D.space, paired)),
         "strict": bool(strict),
-        "distinct_eigenvalues": int(_distinct_eigenvalue_count(a, cfg)),
+        "distinct_eigenvalues": int(distinct),
         "passed": passed,
         "claim": "bicommutant in the direct sum is an independent copy of the generated algebra per summand",
     }

@@ -104,6 +104,17 @@ class CommutantModel:
 def commutant_model(
     A: MatrixAlgebra, ambient: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> CommutantModel:
+    """Build the commutant data the seminorm and distance calls share.
+
+    The model holds four algebras inside ambient: A as given, its
+    commutant A', the star commutant (A together with its adjoints)',
+    which is A' itself when A is selfadjoint, and the bicommutant
+    A'' = (A')'.  The block structure is taken of the star commutant,
+    whose unitaries the seminorm ascent searches.
+
+    Raises InvalidInputError when A does not lie inside ambient, and when
+    the star commutant is not selfadjoint (a non-selfadjoint ambient).
+    """
     if not subspace_contains(ambient.space, A.space, cfg):
         raise InvalidInputError("algebra does not lie inside the ambient algebra")
     span_comm = relative_commutant(A, ambient, cfg)

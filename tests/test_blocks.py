@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from commutant import algebra as algebra_module
+from commutant import blocks as blocks_module
 from commutant.algebra import (
     block_layout,
     diagonal_algebra,
@@ -21,6 +23,7 @@ from commutant.blocks import (
     twirl_expectation,
     wedderburn,
 )
+from commutant.cli import main
 from commutant.config import InvalidInputError, NumericConfig, StructureError
 from commutant.linalg import (
     haar_unitaries,
@@ -37,6 +40,32 @@ def random_block_star_algebra(rng, blocks):
     """A conjugated (+) M_s (x) I_m algebra with a Haar change of basis."""
     n = sum(s * m for s, m in blocks)
     return block_algebra(blocks, haar_unitary(rng, n))
+
+
+# repeated shapes, factors, multiplicities and masas up to n = 12
+PLANTED = [
+    ((3, 1),),
+    ((1, 1), (1, 1), (1, 1)),
+    ((2, 1), (1, 2)),
+    ((2, 2),),
+    ((2, 2), (1, 3), (3, 1)),
+    ((2, 2), (2, 2), (1, 3)),
+    ((3, 2), (2, 3)),
+    ((4, 1), (2, 2), (1, 4)),
+    ((1, 1),) * 12,
+    ((1, 12),),
+    ((12, 1),),
+    ((2, 1), (2, 1), (1, 2), (1, 2), (1, 1), (1, 1)),
+]
+
+
+def assert_recovers(A, blocks):
+    st = wedderburn(A, CFG)
+    assert sorted(st.blocks) == sorted(blocks)
+    assert list(st.blocks) == sorted(blocks, key=lambda b: (-b[0], -b[1]))
+    _check_structure(A, st, CFG)
+    # conjugated basis elements must be exactly block form: rebuild and compare
+    assert subspace_equal(structure_algebra(st).space, A.space, CFG)
 
 
 class TestCentralProjections:
@@ -66,17 +95,34 @@ class TestCentralProjections:
 
 
 class TestWedderburn:
-    @pytest.mark.parametrize(
-        "blocks",
-        [((3, 1),), ((1, 1), (1, 1), (1, 1)), ((2, 1), (1, 2)), ((2, 2),), ((2, 2), (1, 3), (3, 1))],
-    )
+    @pytest.mark.parametrize("blocks", PLANTED)
     def test_recovers_planted_block_structure(self, blocks):
         rng = np.random.default_rng(sum(s * 10 + m for s, m in blocks))
+        assert_recovers(random_block_star_algebra(rng, blocks), blocks)
+
+    @pytest.mark.parametrize("blocks", PLANTED)
+    def test_recovers_the_commutant_of_a_planted_structure(self, blocks):
+        # the star commutant a commutant model decomposes: M_s (x) I_m turns
+        # into M_m (x) I_s on the same block
+        rng = np.random.default_rng(sum(s * 10 + m for s, m in blocks))
         A = random_block_star_algebra(rng, blocks)
-        st = wedderburn(A, CFG)
-        assert sorted(st.blocks) == sorted(blocks)
-        # conjugated basis elements must be exactly block form: rebuild and compare
-        assert subspace_equal(structure_algebra(st).space, A.space, CFG)
+        C = relative_commutant(A, full_matrix_algebra(A.ambient_dim), CFG)
+        assert_recovers(C, tuple((m, s) for s, m in blocks))
+
+    def test_solves_no_commutant(self, monkeypatch):
+        # one generic element per draw: neither the center nor any other
+        # relative commutant is solved on the way
+        A = random_block_star_algebra(np.random.default_rng(53), ((2, 2), (1, 3)))
+        calls = []
+        for module, name in ((algebra_module, "relative_commutant"), (algebra_module, "center"),
+                             (blocks_module, "relative_commutant")):
+            def counted(*args, _solve=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert wedderburn(A, CFG).blocks == ((2, 2), (1, 3))
+        assert calls == []
 
     def test_blocks_sorted_descending(self):
         rng = np.random.default_rng(41)
@@ -203,6 +249,41 @@ class TestTwirl:
             U = representative_unitary(st, us)
             worst = max(worst, op_norm(U @ T - T @ U))
         assert op_norm(T - E) <= worst + 1e-8
+
+
+class TestRedraws:
+    @staticmethod
+    def degenerate_draws(monkeypatch, count):
+        """Make the first `count` selfadjoint draws the identity."""
+        original = blocks_module._generic_selfadjoint
+        calls = []
+
+        def draw(space, rng):
+            calls.append(1)
+            if len(calls) <= count:
+                return np.eye(space.basis.shape[-1], dtype=np.complex128)
+            return original(space, rng)
+
+        monkeypatch.setattr(blocks_module, "_generic_selfadjoint", draw)
+        return calls
+
+    def test_degenerate_first_draw_is_redrawn(self, monkeypatch):
+        calls = self.degenerate_draws(monkeypatch, 1)
+        assert wedderburn(diagonal_algebra(3), CFG).blocks == ((1, 1),) * 3
+        assert len(calls) == 2
+
+    def test_every_draw_degenerate_raises(self, monkeypatch):
+        calls = self.degenerate_draws(monkeypatch, 10**6)
+        with pytest.raises(StructureError):
+            wedderburn(diagonal_algebra(3), CFG)
+        assert len(calls) == blocks_module._REDRAWS
+
+    def test_every_draw_degenerate_exits_three(self, monkeypatch, capsys):
+        self.degenerate_draws(monkeypatch, 10**6)
+        assert main(["wedderburn", "--algebra", "diag:3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestBlockStructureValidation:

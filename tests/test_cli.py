@@ -165,7 +165,7 @@ def test_negative_seed_or_no_samples_exits_two_without_traceback(capsys, argv):
 
 def test_uncertified_structure_exits_three(capsys, monkeypatch):
     def uncertified(A, cfg):
-        raise StructureError("could not separate the central spectrum")
+        raise StructureError("no draw gave a certified block structure")
 
     monkeypatch.setattr("commutant.cli.wedderburn", uncertified)
     code = main(["wedderburn", "--algebra", "diag:3"])
