@@ -24,8 +24,10 @@ a few random combinations of S, whose nullspace can only be too large, and
 the result certified against every element of S; elements that fail join
 the system and it is solved again.  A solve on Z's eigenvectors with a
 singular value just above the rank cut is redone on all of B.  Generated
-algebras are closed Krylov-style: each round multiplies only the
-directions the last round added by the generators.
+algebras are closed Krylov-style, one generator at a time: each round
+multiplies the directions the last round added by each generator in turn,
+keeps what is new at a cut scaled by that generator's norm, and the
+closure stops as soon as the span is all of M_n.
 """
 
 from __future__ import annotations
@@ -166,11 +168,14 @@ def generate_algebra(
 
     With unital=True the ambient identity is thrown in; with star=True the
     adjoints are, making the result selfadjoint.  Closure is a Krylov
-    iteration: each round multiplies the directions added by the previous
-    round (the frontier) on the right by every generator and keeps what is
-    new.  A span that holds the identity (or the generators) and is closed
-    under right multiplication by each generator holds every word in them,
-    so an empty frontier ends the closure, after at most n^2 rounds.
+    iteration, one generator at a time: each round multiplies the
+    directions the previous round added (the frontier) on the right by
+    each generator G in turn and keeps what is new, cut at rank_tol ||G||_F
+    since a product of a unit direction by G is at most ||G||_F long.  A
+    span that holds the identity (or the generators) and is closed under
+    right multiplication by each generator holds every word in them, so
+    the closure ends when a round adds nothing or the span reaches n^2,
+    which is all of M_n.
     """
     gens = [as_matrix(G) for G in generators]
     if not gens:
@@ -183,25 +188,35 @@ def generate_algebra(
         mult += [G.conj().T for G in mult]
     seed = mult + [np.eye(n, dtype=np.complex128)] if unital else mult
     Q = orthonormalize(seed, cfg).stack
-    # absolute cut: a product of a unit direction by G is at most ||G|| long,
-    # and scaling by the products' own norms would let J^4 = 0 noise through
-    cut = cfg.rank_tol * max(hs_norm(G) for G in mult)
-    right = np.stack(mult)
     frontier = Q
-    while frontier.shape[0]:
-        P = np.matmul(frontier.reshape(-1, 1, n, n), right).reshape(-1, n * n)
-        for _ in range(2):
-            P = P - (P @ Q.conj().T) @ Q
-        # sigma_max <= ||P||_F, so a residual below the cut holds nothing new
-        if np.linalg.norm(P) <= cut:
-            break
-        svals, Vh = rank_svd(P)
-        frontier = Vh[: int(np.sum(svals > cut))]
-        Q = np.vstack([Q, frontier])
+    while len(frontier) and len(Q) < n * n:
+        start = len(Q)
+        for G in mult:
+            Q = _extend(Q, frontier, G, cfg.rank_tol * hs_norm(G))
+            if len(Q) == n * n:
+                break
+        frontier = Q[start:]
     space = OperatorSubspace(n, Q.reshape(-1, n, n))
     selfadjoint = star or _adjoint_closed(space, cfg)
     is_unital = unital or space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
     return MatrixAlgebra(space, is_unital, selfadjoint)
+
+
+def _extend(Q: np.ndarray, frontier: np.ndarray, G: np.ndarray, cut: float) -> np.ndarray:
+    """Q with the directions of frontier . G orthogonal to it appended.
+
+    Rows are flattened matrices.  The cut is absolute: scaling it by the
+    products' own norms would let J^4 = 0 noise through.
+    """
+    n = G.shape[0]
+    P = (frontier.reshape(-1, n) @ G).reshape(-1, n * n)
+    for _ in range(2):
+        P = P - (P @ Q.conj().T) @ Q
+    # sigma_max <= ||P||_F, so a residual below the cut holds nothing new
+    if np.linalg.norm(P) <= cut:
+        return Q
+    svals, Vh = rank_svd(P)
+    return np.vstack([Q, Vh[: int(np.sum(svals > cut))]])
 
 
 def _commuted_set(S, n: int) -> np.ndarray:

@@ -6,10 +6,11 @@ and writes one JSON report.  Exit codes: 0 success, 1 a mathematical
 claim failed (an ``--expect`` mismatch, a failing gallery or suite),
 2 bad input or a size beyond a cap (``ResourceLimitError``), 3 an
 uncertified result: a structure that could not be certified
-(``StructureError``), or a ``dist`` or ``dn`` report, still written,
-whose certified bracket did not close to 1e-6 relative.  ``dn`` exits 3
-on most masa inputs at n >= 5, where the ascent's value stays below
-twice the distance to the double commutant.
+(``StructureError``), a ``gen`` report, still written, whose algebra
+fails its own closure check, or a ``dist`` or ``dn`` report, still
+written, whose certified bracket did not close to 1e-6 relative.
+``dn`` exits 3 on most masa inputs at n >= 5, where the ascent's value
+stays below twice the distance to the double commutant.
 """
 
 from __future__ import annotations
@@ -136,8 +137,10 @@ def _bracket_result(rep):
 
 
 def _gen(args, cfg, mats):
+    """The algebra and its closure check, with exit 3 when the check fails."""
     A = generate_algebra(mats, cfg, unital=not args.non_unital, star=args.star)
-    return {"algebra": algebra_to_json(A), "check": jsonable(verify_algebra(A, cfg))}, 0
+    check = verify_algebra(A, cfg)
+    return {"algebra": algebra_to_json(A), "check": jsonable(check)}, 0 if check["passed"] else 3
 
 
 def _bicommutant(args, cfg, A, B):

@@ -323,7 +323,117 @@ class TestEigenspaceSearch:
         assert widths and max(widths) <= 12
 
 
+def _rotated(rng, mats):
+    U = haar_unitary(rng, mats[0].shape[0])
+    return [U @ M @ U.conj().T for M in mats]
+
+
+def _short_closure(kind):
+    """Generators whose closure stops short of M_n: (gens, star, unital, dim)."""
+    rng = np.random.default_rng([34, _SHORT_CLOSURES.index(kind)])
+    if kind.startswith("blocks"):
+        # independent random blocks are inequivalent: C*(pair) = (+) M_s
+        sizes = [int(c) for c in kind.split("-")[1]]
+        pair = [scipy.linalg.block_diag(*(random_matrix(rng, s) for s in sizes)) for _ in range(2)]
+        return _rotated(rng, pair), True, True, sum(s * s for s in sizes)
+    if kind.startswith("ampliated"):
+        h = int(kind.split("-")[1])
+        pair = [np.kron(random_matrix(rng, h), np.eye(2)) for _ in range(2)]
+        return _rotated(rng, pair), True, True, h * h
+    if kind == "diagonal-6":
+        # joint eigenvalues (1, 4), (2, 4), (2, 5), (3, 5): four minimal projections
+        pair = [np.diag([1.0, 1, 2, 2, 3, 3]), np.diag([4.0, 4, 4, 5, 5, 5])]
+        return _rotated(rng, pair), True, True, 4
+    if kind == "diagonal-3":
+        return [np.diag([1.0, 1, 2]), np.diag([3.0, 3, 3])], False, True, 2
+    if kind == "non-unital-strict-3":
+        # strictly upper triangular pair: the strictly upper triangular algebra
+        pair = [np.triu(random_matrix(rng, 3), 1) for _ in range(2)]
+        return pair, False, False, 3
+    if kind == "non-unital-corner-3":
+        E11, E12 = np.diag([1.0, 0, 0]), np.outer(np.eye(3)[0], np.eye(3)[1])
+        return [E11, E12], False, False, 2
+    if kind == "non-unital-star-3":
+        # M_2 (+) 0: C*(pair) misses the identity
+        pair = [scipy.linalg.block_diag(random_matrix(rng, 2), 0.0) for _ in range(2)]
+        return _rotated(rng, pair), True, False, 4
+    if kind == "nilpotent-3":
+        # C*(E12) = M_2 (+) C
+        return [np.outer(np.eye(3)[0], np.eye(3)[1])], True, True, 5
+    # a shift ampliated twice: C*(shift (x) I_2) = M_3 (x) I_2
+    return _rotated(rng, [np.kron(np.eye(3, k=1), np.eye(2))]), True, True, 9
+
+
+_SHORT_CLOSURES = [
+    "blocks-321", "blocks-422", "ampliated-3", "ampliated-4", "diagonal-6", "diagonal-3",
+    "non-unital-strict-3", "non-unital-corner-3", "non-unital-star-3", "nilpotent-3",
+    "nilpotent-ampliated-6",
+]
+
+
+def _word_span(letters, unital, n):
+    """Span of every word of length up to n^2 in the letters, level by level.
+
+    The words of length k span the products of the length k - 1 span by a
+    letter, so each level keeps only an orthonormal basis.
+    """
+    level = [np.eye(n)] if unital else list(letters)
+    words = list(level)
+    for _ in range(n * n):
+        level = list(orthonormalize([W @ L for W in level for L in letters], CFG, n).basis)
+        words += level
+    return orthonormalize(words, CFG)
+
+
 class TestGenerateAlgebra:
+    @pytest.mark.parametrize("kind", _SHORT_CLOSURES)
+    def test_closure_that_stops_short_of_the_full_algebra(self, kind):
+        gens, star, unital, dim = _short_closure(kind)
+        n = gens[0].shape[0]
+        A = generate_algebra(gens, CFG, unital=unital, star=star)
+        assert A.dim == dim < n * n
+        letters = gens + [G.conj().T for G in gens] if star else gens
+        if star and unital:
+            # von Neumann: the unital C*-algebra of a set is its bicommutant
+            oracle = double_commutant(np.stack(letters), full_matrix_algebra(n), CFG).space
+        else:
+            assert n <= 3
+            oracle = _word_span(letters, unital, n)
+        assert subspace_equal(A.space, oracle, CFG)
+        assert verify_algebra(A, CFG)["passed"]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e9, 1e10, 1e12])
+    def test_generators_of_very_different_norms(self, scale):
+        # each generator's products are cut at its own norm, not the largest
+        D = scale * np.diag([1.0, 2.0, 3.0, 4.0])
+        N = 0.5 * np.eye(4, k=1)
+        A = generate_algebra([D, N], CFG)
+        assert A.dim == 10  # the upper triangular algebra
+        for G in (D, N):
+            assert A.space.residual(G) <= CFG.eq_tol * hs_norm(G)
+        assert verify_algebra(A, CFG)["passed"]
+
+    def test_star_closure_stops_at_the_full_span(self, monkeypatch):
+        # one generator's products per rank decision, none once Q is M_12
+        rows, entered = [], []
+        real_svd, real_extend = algebra_module.rank_svd, algebra_module._extend
+
+        def recording_svd(M):
+            rows.append(M.shape[0])
+            return real_svd(M)
+
+        def recording_extend(Q, frontier, G, cut):
+            entered.append(len(Q))
+            return real_extend(Q, frontier, G, cut)
+
+        monkeypatch.setattr(algebra_module, "rank_svd", recording_svd)
+        monkeypatch.setattr(algebra_module, "_extend", recording_extend)
+        rng = np.random.default_rng(35)
+        A = generate_algebra([random_matrix(rng, 12), random_matrix(rng, 12)], CFG, star=True)
+        assert A.dim == 144
+        assert rows and max(rows) <= 64
+        assert max(entered) < 144
+
     def test_polynomial_algebra_dimension_matches_minimal_polynomial(self):
         rng = np.random.default_rng(24)
         for _ in range(5):

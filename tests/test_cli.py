@@ -173,6 +173,17 @@ def test_uncertified_structure_exits_three(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_failed_closure_check_exits_three(capsys, monkeypatch, tmp_path):
+    def failing(A, cfg):
+        return {"closure_defect": 0.5, "passed": False}
+
+    monkeypatch.setattr("commutant.cli.verify_algebra", failing)
+    gens = write_json(tmp_path / "g.json", [matrix_to_json(np.eye(2))])
+    code, out = run_cli(capsys, "gen", "--generators", gens)
+    assert code == 3
+    assert out["result"]["check"]["passed"] is False
+
+
 def test_uncertified_distance_exits_three(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("commutant.seminorms._barrier_solve", lambda *args: None)
     T = np.random.default_rng(16).standard_normal((3, 3))
