@@ -19,12 +19,13 @@ generic H in M_n leaves n unknowns instead of n^2.  When S is far from
 runs on the eigenvectors of a random Z in span(S), on which the commutant
 is block diagonal too, and that again leaves n unknowns for the
 polynomial algebra of a generic matrix.  A defective or badly conditioned
-Z, or a proper ambient, keeps all of B.  The search space is solved against
-a few random combinations of S, whose nullspace can only be too large, and
-the result certified against every element of S; elements that fail join
-the system and it is solved again.  A solve on Z's eigenvectors with a
-singular value just above the rank cut is redone on all of B.  Generated
-algebras are closed Krylov-style, one generator at a time: each round
+Z, or a proper ambient, keeps all of B.  Each element of S is scaled to
+unit norm, and the search space is solved against a few random
+combinations of S, whose nullspace can only be too large, and the result
+certified against every element of S; elements that fail join the system
+and it is solved again.  A solve on Z's eigenvectors with a singular value
+just above the rank cut is redone on all of B.  Generated algebras are
+closed Krylov-style from the identity, one generator at a time: each round
 multiplies the directions the last round added by each generator in turn,
 keeps what is new at a cut scaled by that generator's norm, and the
 closure stops as soon as the span is all of M_n.
@@ -167,15 +168,18 @@ def generate_algebra(
     """Smallest algebra containing the generators.
 
     With unital=True the ambient identity is thrown in; with star=True the
-    adjoints are, making the result selfadjoint.  Closure is a Krylov
+    adjoints are (those of Hermitian generators are the generators
+    again), making the result selfadjoint.  Closure is a Krylov
     iteration, one generator at a time: each round multiplies the
     directions the previous round added (the frontier) on the right by
     each generator G in turn and keeps what is new, cut at rank_tol ||G||_F
-    since a product of a unit direction by G is at most ||G||_F long.  A
-    span that holds the identity (or the generators) and is closed under
-    right multiplication by each generator holds every word in them, so
-    the closure ends when a round adds nothing or the span reaches n^2,
-    which is all of M_n.
+    since a product of a unit direction by G is at most ||G||_F long.  The
+    first frontier is the identity, so each generator enters the span in
+    the first round at its own cut, however large the others are.  A span
+    that holds the identity (or the generators) and is closed under right
+    multiplication by each generator holds every word in them, so the
+    closure ends when a round adds nothing or the span reaches n^2, which
+    is all of M_n.
     """
     gens = [as_matrix(G) for G in generators]
     if not gens:
@@ -185,10 +189,10 @@ def generate_algebra(
         raise ResourceLimitError(f"ambient dimension {n} exceeds cap {DIM_CAP}")
     mult = [as_matrix(G, dim=n) for G in gens]
     if star:
-        mult += [G.conj().T for G in mult]
-    seed = mult + [np.eye(n, dtype=np.complex128)] if unital else mult
-    Q = orthonormalize(seed, cfg).stack
-    frontier = Q
+        mult += [G.conj().T for G in mult if not np.array_equal(G, G.conj().T)]
+    eye = np.eye(n, dtype=np.complex128).reshape(1, n * n)
+    Q = eye / np.sqrt(n) if unital else np.empty((0, n * n), dtype=np.complex128)
+    frontier = eye
     while len(frontier) and len(Q) < n * n:
         start = len(Q)
         for G in mult:
@@ -220,10 +224,18 @@ def _extend(Q: np.ndarray, frontier: np.ndarray, G: np.ndarray, cut: float) -> n
 
 
 def _commuted_set(S, n: int) -> np.ndarray:
-    """The (k, n, n) stack of the matrices to commute with."""
+    """The (k, n, n) stack of the matrices to commute with, each of unit norm.
+
+    An algebra's or subspace's basis is orthonormal already.  A raw list
+    has each nonzero element scaled to unit Frobenius norm, which leaves
+    the commutant as it is and keeps a small element's constraints above
+    a rank cut that a large one would otherwise set.
+    """
     if isinstance(S, (MatrixAlgebra, OperatorSubspace)):
-        S = S.basis
-    return as_matrices(S, n)
+        return as_matrices(S.basis, n)
+    A = as_matrices(S, n)
+    norms = np.linalg.norm(A.reshape(len(A), -1), axis=1)
+    return A / np.where(norms > 0, norms, 1.0)[:, None, None]
 
 
 def _commutator_system(mats: np.ndarray, Bstack: np.ndarray) -> np.ndarray:
@@ -309,10 +321,10 @@ def _eigenvector_space(
     Band: the entries off the clusters have ||Y_off||_F <= kappa e ||X|| / gap,
     gap the least distance between eigenvalues of different clusters, and
     V Y_in V^-1, which lies in the space, is within kappa ||Y_off||_F of X.
-    Its commutators with the A_k are at most sigma + 2 max||A_k|| kappa^2 e / gap.
-    For sigma up to the solve's cut, which is at least rank_tol max||A_k||,
-    that is at most band * cut with
-    band = 1 + 2 kappa^2 (|coeff|_1 max||A_k|| + 2 eps_Z / rank_tol) / gap.
+    The A_k have norm at most 1 (see _commuted_set), so its commutators with
+    them are at most sigma + 2 kappa^2 e / gap.  For sigma up to the solve's
+    cut, which is at least rank_tol, that is at most band * cut with
+    band = 1 + 2 kappa^2 (|coeff|_1 + 2 eps_Z / rank_tol) / gap.
     Restriction to a subspace only raises the small singular values, and
     the solve's singular values weigh these commutators by the probe
     coefficients, so to first order a solve on the space with none in
@@ -338,8 +350,7 @@ def _eigenvector_space(
         return ambient.basis, 1.0
     same = cluster[:, None] == cluster[None, :]
     gap = np.abs(lam[:, None] - lam[None, :])[~same].min()
-    norm_max = np.linalg.norm(A.reshape(len(A), -1), axis=1).max()
-    lift = np.abs(coeff).sum() * norm_max + 2.0 * eps_Z / cfg.rank_tol
+    lift = np.abs(coeff).sum() + 2.0 * eps_Z / cfg.rank_tol
     band = 1.0 + 2.0 * kappa**2 * lift / gap
     i, j = np.nonzero(same)
     units = V.T[i][:, :, None] * Vinv[j][:, None, :]
@@ -356,6 +367,8 @@ def _certified_nullspace(
     few random combinations of A.  That nullspace holds the commutant and
     can only be too large, so it is certified against every element of A;
     elements above the rank cut join the system and it is solved again.
+    The elements of A have norm at most 1, as _commuted_set makes them, so
+    the rank cut is rank_tol max(sigma_max, 1).
     None when the last solve has a singular value in (cut, band * cut].
     """
     count = len(A)
@@ -367,15 +380,14 @@ def _certified_nullspace(
     # the whole set's in expectation, so the rank cut keeps its scale
     coeff = rng.standard_normal((k, count)) + 1j * rng.standard_normal((k, count))
     system = np.tensordot(coeff / np.sqrt(2 * k), A, axes=1)
-    norm_max = np.linalg.norm(A.reshape(count, -1), axis=1).max()
     joined = np.zeros(count, dtype=bool)
     while True:
         # rows >= dim K always (dim K <= n^2), so economy Vh carries all its rows
         svals, Vh = rank_svd(_commutator_system(system, K))
-        # scale against the commuted set, not only sigma_max: when every
-        # basis element commutes the stack is numerical noise and the whole
-        # coordinate space is nullspace
-        cut = cfg.rank_tol * max(svals[0], norm_max)
+        # scale against the commuted set's unit norms, not only sigma_max:
+        # when every basis element commutes the stack is numerical noise
+        # and the whole coordinate space is nullspace
+        cut = cfg.rank_tol * max(svals[0], 1.0)
         X = np.tensordot(Vh[int(np.sum(svals > cut)) :].conj(), K, axes=1)
         comm = np.matmul(A[:, None], X[None]) - np.matmul(X[None], A[:, None])
         failed = (np.linalg.norm(comm.reshape(count, -1), axis=1) > cut) & ~joined
@@ -413,13 +425,16 @@ def relative_commutant(
     is redone on the ambient.  A defective Z, one cluster again, or a
     proper ambient makes K the ambient.
 
-    Solve: the numerical nullspace, in K's coordinates, of the commutator
-    maps of a few random combinations of S, certified against every element
-    S_i in one batched residual ||S_i X - X S_i||; elements above the rank
-    cut join the system and it is solved again, at the latest with the
-    whole of S in it.  K and the nullspace coordinates are orthonormal, so
-    the basis returned is Hilbert-Schmidt orthonormal, and it is a
-    combination of ambient elements, so it lies in the ambient.
+    Solve: S is taken with each element scaled to unit norm, which leaves
+    its commutant as it is, so one rank cut serves every element however
+    their norms differ.  The solve is the numerical nullspace, in K's
+    coordinates, of the commutator maps of a few random combinations of S,
+    certified against every element S_i in one batched residual
+    ||S_i X - X S_i||; elements above the rank cut join the system and it
+    is solved again, at the latest with the whole of S in it.  K and the
+    nullspace coordinates are orthonormal, so the basis returned is
+    Hilbert-Schmidt orthonormal, and it is a combination of ambient
+    elements, so it lies in the ambient.
     """
     n = ambient.ambient_dim
     A = _commuted_set(S, n)

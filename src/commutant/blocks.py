@@ -240,10 +240,7 @@ def block_average(st: BlockStructure, T: np.ndarray) -> np.ndarray:
 
 
 def twirl_expectation(
-    T,
-    A: MatrixAlgebra,
-    cfg: NumericConfig = DEFAULT_CONFIG,
-    structure: BlockStructure | None = None,
+    T, A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
     """Average of U* T U over Haar unitaries U commuting with A.
 
@@ -254,7 +251,5 @@ def twirl_expectation(
     if not A.selfadjoint:
         raise InvalidInputError("twirl needs a selfadjoint algebra")
     n = A.ambient_dim
-    if structure is None:
-        C = relative_commutant(A, full_matrix_algebra(n), cfg)
-        structure = wedderburn(C, cfg)
-    return block_average(structure, as_matrix(T, dim=n))
+    C = relative_commutant(A, full_matrix_algebra(n), cfg)
+    return block_average(wedderburn(C, cfg), as_matrix(T, dim=n))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import (
     MatrixAlgebra,
+    _clusters,
     algebra_from_space,
     block_algebra,
     double_commutant,
@@ -213,16 +214,6 @@ def ramp_shift_report(
 # paired copies: bicommutant of a diagonal embedding across a direct sum
 
 
-def _distinct_eigenvalue_count(a: np.ndarray, cfg: NumericConfig) -> int:
-    vals = np.sort(np.linalg.eigvalsh(a))
-    scale = max(1.0, float(np.abs(vals).max())) if vals.size else 1.0
-    count = 1
-    for prev, cur in zip(vals[:-1], vals[1:]):
-        if cur - prev > cfg.eq_tol * scale:
-            count += 1
-    return count
-
-
 def paired_copies_report(a, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Bicommutant of {I, a + a} inside the direct sum of two full blocks.
 
@@ -248,7 +239,9 @@ def paired_copies_report(a, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     )
     equal = subspace_equal(D.space, paired, cfg)
     strict = D.dim > A.dim
-    distinct = _distinct_eigenvalue_count(a, cfg)
+    vals = np.linalg.eigvalsh(a)
+    tol = cfg.eq_tol * max(1.0, np.abs(vals).max())
+    distinct = len(np.unique(_clusters(vals, tol)))
     passed = bool(equal) and (strict or distinct < 2)
     return {
         "name": "paired-copies",
@@ -501,15 +494,11 @@ GALLERY = (
 def run_gallery(cfg: NumericConfig = DEFAULT_CONFIG, names=None) -> dict:
     """Run catalog items in fixed order; names filters by exact item name."""
     wanted = set(names) if names is not None else None
-    items = []
-    for name, fn in GALLERY:
-        if wanted is not None and name not in wanted:
-            continue
-        items.append(fn(cfg))
     if wanted is not None:
         missing = wanted - {name for name, _ in GALLERY}
         if missing:
             raise InvalidInputError(f"unknown gallery items: {sorted(missing)}")
+    items = [fn(cfg) for name, fn in GALLERY if wanted is None or name in wanted]
     return {
         "catalog": [name for name, _ in GALLERY],
         "items": items,

@@ -148,6 +148,16 @@ class TestRelativeCommutant:
             assert C.dim == len(oracle)
             assert subspace_equal(C.space, orthonormalize(oracle, CFG), CFG)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e10, 1e12])
+    def test_small_element_beside_a_large_one(self, scale):
+        # E23's constraints must not fall under a cut set by scale * E11
+        E11 = np.diag([1.0, 0.0, 0.0])
+        E23 = np.eye(3)[:, [1]] @ np.eye(3)[[2], :]
+        C = relative_commutant([scale * E11, E23], full_matrix_algebra(3), CFG)
+        oracle = orthonormalize(kron_commutant_basis([E11, E23]), CFG)
+        assert C.dim == oracle.dim == 3
+        assert subspace_equal(C.space, oracle, CFG)
+
     def test_jordan_block_commutant_is_its_polynomials(self):
         J = np.array([[0, 1.0, 0], [0, 0, 1.0], [0, 0, 0]])
         C = relative_commutant([J], full_matrix_algebra(3), CFG)
@@ -412,6 +422,35 @@ class TestGenerateAlgebra:
         for G in (D, N):
             assert A.space.residual(G) <= CFG.eq_tol * hs_norm(G)
         assert verify_algebra(A, CFG)["passed"]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e9, 1e12])
+    def test_non_unital_generators_enter_at_their_own_cut(self, scale):
+        # a seed span cut at the largest generator's norm loses the shift
+        S = np.eye(4, k=-1)
+        E44 = np.diag([0.0, 0.0, 0.0, 1.0])
+        A = generate_algebra([scale * E44, 0.5 * S], CFG, unital=False)
+        # E44, S, S^2, S^3 = E41, E44 S = E43 and E44 S^2 = E42
+        assert A.dim == 6
+        assert A.space.residual(S) <= CFG.eq_tol * hs_norm(S)
+        assert verify_algebra(A, CFG)["passed"]
+
+    def test_hermitian_generator_is_multiplied_once_per_round(self, monkeypatch):
+        # a Hermitian generator is its own adjoint, so star=True adds nothing
+        frontiers = []
+        real_extend = algebra_module._extend
+
+        def recording_extend(Q, frontier, G, cut):
+            frontiers.append(frontier)
+            return real_extend(Q, frontier, G, cut)
+
+        monkeypatch.setattr(algebra_module, "_extend", recording_extend)
+        rng = np.random.default_rng(36)
+        X = random_matrix(rng, 6)
+        A = generate_algebra([X + X.conj().T], CFG, star=True)
+        assert A.dim == 6 and A.selfadjoint
+        # each round multiplies one frontier, so one call per frontier
+        assert len(frontiers) > 1
+        assert all(f is not g for f, g in zip(frontiers, frontiers[1:]))
 
     def test_star_closure_stops_at_the_full_span(self, monkeypatch):
         # one generator's products per rank decision, none once Q is M_12

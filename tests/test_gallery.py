@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from commutant import gallery
 from commutant.algebra import (
     diagonal_algebra,
     full_matrix_algebra,
@@ -272,6 +273,18 @@ class TestCatalog:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert len(a["items"]) == 2
 
-    def test_unknown_item_rejected(self):
+    def test_unknown_item_rejected(self, monkeypatch):
         with pytest.raises(InvalidInputError):
             run_gallery(CFG, names=["no-such-item"])
+        # names are checked before any known item runs
+        calls = []
+
+        def stub(cfg):
+            calls.append(cfg)
+            return {"name": "stub", "passed": True}
+
+        monkeypatch.setattr(gallery, "GALLERY", (("stub", stub),))
+        with pytest.raises(InvalidInputError):
+            run_gallery(CFG, names=["stub", "nope"])
+        assert calls == []
+        assert run_gallery(CFG, names=["stub"])["items"] == [{"name": "stub", "passed": True}]

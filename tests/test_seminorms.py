@@ -579,6 +579,68 @@ def test_polar_cap_hits_count_phases_stopped_at_the_cap(monkeypatch):
     assert rep.details["polar_cap_hits"] == sum(phases)
 
 
+def test_only_the_best_restart_is_polished(monkeypatch):
+    rng = np.random.default_rng(34)
+    T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    D4, M4 = diagonal_algebra(4), full_matrix_algebra(4)
+    polished = []
+    real = seminorms._alternating_polish
+
+    def counted(*args, **kwargs):
+        polished.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(seminorms, "_alternating_polish", counted)
+    rep = derivation_seminorm(T, D4, M4, CFG, compute_upper=False)
+    assert len(polished) == 1
+    assert 1 <= rep.details["restart_consensus"] <= CFG.opt_restarts + 1
+    # a trivial commutant runs no ascent at all
+    derivation_seminorm(T, full_matrix_algebra(4), M4, CFG, compute_upper=False)
+    assert len(polished) == 1
+
+
+def _top_two_polished_value(T, model, cfg):
+    """The ascent with its two best restarts polished, the better one kept."""
+    st = model.structure
+    W, layout = st.unitary, st.scatter
+    Tt = W.conj().T @ T @ W
+    draws = []
+    for restart in range(cfg.opt_restarts):
+        rng = cfg.rng(205, restart)
+        draws.append(
+            layout.group([
+                rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+                for s, _ in st.blocks
+            ])
+        )
+    Us = [np.linalg.qr(np.stack(group))[0] for group in zip(*draws)]
+    sigma, Us, _, _ = seminorms._polar_phase_batch(Tt, layout, Us)
+    return max(
+        seminorms._alternating_polish(Tt, layout, [u[i : i + 1].copy() for u in Us])[0]
+        for i in np.argsort(-sigma)[:2]
+    )
+
+
+def test_best_restart_polish_matches_top_two_reference():
+    rng = np.random.default_rng(35)
+    models = {}
+    for i in range(30):
+        n = 3 + i % 3
+        kind = ("scalars", "masa", "blocks")[(i // 3) % 3]
+        if (kind, n) not in models:
+            A = {
+                "scalars": scalar_algebra(n),
+                "masa": diagonal_algebra(n),
+                "blocks": block_algebra(((1, 2),) + ((1, 1),) * (n - 2), haar_unitary(rng, n)),
+            }[kind]
+            models[kind, n] = (A, commutant_model(A, full_matrix_algebra(n), CFG))
+        A, model = models[kind, n]
+        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rep = derivation_seminorm(T, A, model.ambient, CFG, model, compute_upper=False)
+        ref = _top_two_polished_value(T, model, CFG)
+        assert rep.value >= ref - 1e-12 * max(1.0, op_norm(T)), (kind, n)
+
+
 def test_barrier_factorizes_each_accepted_point_once(monkeypatch):
     # the line search's accepted trial hands its matrix and log-det on, so
     # no Cholesky factorization is repeated on the same matrix
