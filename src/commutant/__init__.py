@@ -26,7 +26,6 @@ from .algebra import (
 )
 from .blocks import (
     BlockStructure,
-    block_average,
     minimal_central_projections,
     representative_unitary,
     structure_algebra,
@@ -74,9 +73,7 @@ from .serialize import (
     canonical_dumps,
     matrix_from_json,
     matrix_to_json,
-    report_from_json,
     report_to_json,
-    structure_from_json,
     structure_to_json,
 )
 from .suites import ACCEPTANCE_BUDGETS, SUITE_NAMES, TOTAL_BUDGET, run_suite
@@ -100,7 +97,6 @@ __all__ = [
     "algebra_from_space",
     "algebra_to_json",
     "block_algebra",
-    "block_average",
     "canonical_dumps",
     "center",
     "commutant_model",
@@ -131,7 +127,6 @@ __all__ = [
     "ramp_shift_report",
     "ramp_weighted_shift",
     "relative_commutant",
-    "report_from_json",
     "report_to_json",
     "representative_unitary",
     "run_gallery",
@@ -140,7 +135,6 @@ __all__ = [
     "scalar_algebra",
     "selfcommutant_triangular",
     "structure_algebra",
-    "structure_from_json",
     "structure_stability_report",
     "structure_to_json",
     "subspace_distance",

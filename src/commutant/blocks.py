@@ -10,9 +10,11 @@ into matrix-unit partial isometries that give the adapted columns.  A draw
 is kept only when the conjugated basis is certified block diagonal.
 
 twirl_expectation() averages U* T U over the Haar measure of the unitary
-group of the commutant.  On each block of the commutant that average is a
-normalized partial trace, which is the closed form used here; the result
-is the trace-preserving conditional expectation onto the double commutant.
+group of the commutant.  No commutant is solved: in the adapted basis of
+the double commutant D = A + C I, the commutant's unitaries are the
+direct sums of I_s tensor u_k, so the average keeps each block's
+multiplicity average and drops everything off the blocks.  The result is
+the trace-preserving conditional expectation onto the double commutant.
 """
 
 from __future__ import annotations
@@ -21,16 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    MatrixAlgebra,
-    _clusters,
-    block_algebra,
-    block_layout,
-    full_matrix_algebra,
-    relative_commutant,
-)
+from .algebra import MatrixAlgebra, _clusters, block_algebra, block_layout
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig, StructureError
-from .linalg import OperatorSubspace, as_matrix
+from .linalg import OperatorSubspace, as_matrix, orthonormalize
 
 _REDRAWS = 5
 
@@ -99,6 +94,11 @@ class _BlockScatter:
         """Per-group (R, K, s, s) partial traces over multiplicity of (R, n, n) X."""
         Xf = X.reshape(X.shape[0], self.n * self.n)
         return [Xf[:, idx].sum(axis=-1) for idx in self.flat]
+
+    def average(self, X: np.ndarray) -> np.ndarray:
+        """(R, n, n) X with each block's part replaced by its multiplicity average."""
+        traces = self.block_traces(X)
+        return self.assemble([t / m for t, (_, m) in zip(traces, self.shapes)])
 
 
 def _generic_element(space: OperatorSubspace, rng) -> np.ndarray:
@@ -201,11 +201,9 @@ def _check_structure(A: MatrixAlgebra, st: BlockStructure, cfg: NumericConfig):
     if np.linalg.norm(U.conj().T @ U - np.eye(n)) > cfg.eq_tol * n:
         raise StructureError("adapted basis is not unitary")
     # each conjugated basis element must equal its multiplicity average
-    sc = st.scatter
     S = A.space.stack
     Bt = U.conj().T @ A.basis @ U
-    means = [t / m for t, (_, m) in zip(sc.block_traces(Bt), sc.shapes)]
-    defect = np.linalg.norm((Bt - sc.assemble(means)).reshape(len(S), -1), axis=1)
+    defect = np.linalg.norm((Bt - st.scatter.average(Bt)).reshape(len(S), -1), axis=1)
     if (defect > cfg.eq_tol * np.maximum(1.0, np.linalg.norm(S, axis=1))).any():
         raise StructureError("conjugated basis is not in block form")
 
@@ -223,22 +221,6 @@ def representative_unitary(st: BlockStructure, block_unitaries) -> np.ndarray:
     return st.unitary @ Ub @ st.unitary.conj().T
 
 
-def block_average(st: BlockStructure, T: np.ndarray) -> np.ndarray:
-    """Haar average of U* T U over the unitary group with this block structure.
-
-    Off-diagonal blocks average to zero; each diagonal block averages to
-    I_s tensor (partial trace over the s factor) / s.
-    """
-    U = st.unitary
-    n = st.ambient_dim
-    Tt = (U.conj().T @ as_matrix(T, dim=n) @ U).ravel()
-    out = np.zeros_like(Tt)
-    for (s, _), pos in zip(st.blocks, st.scatter.table):
-        diag = pos[np.arange(s), np.arange(s)]  # (s, m, m): the a = b diagonal
-        out[diag] = Tt[diag].mean(axis=0)
-    return U @ out.reshape(n, n) @ U.conj().T
-
-
 def twirl_expectation(
     T, A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
@@ -246,10 +228,17 @@ def twirl_expectation(
 
     Lands in the double commutant of A and lies in the closed convex hull
     of the unitary conjugates of T, so ||T - twirl(T)|| is at most the
-    derivation seminorm of T over that commutant.
+    derivation seminorm of T over that commutant.  For a selfadjoint A the
+    double commutant is D = A with the identity adjoined, and in D's
+    adapted basis (wedderburn) the commutant's unitaries are the direct
+    sums of I_s tensor u_k; their Haar average is each block's
+    multiplicity average, so no commutant is solved.
     """
     if not A.selfadjoint:
         raise InvalidInputError("twirl needs a selfadjoint algebra")
     n = A.ambient_dim
-    C = relative_commutant(A, full_matrix_algebra(n), cfg)
-    return block_average(wedderburn(C, cfg), as_matrix(T, dim=n))
+    D = A if A.unital else MatrixAlgebra(orthonormalize([np.eye(n), *A.basis], cfg, n), True, True)
+    st = wedderburn(D, cfg)
+    U = st.unitary
+    X = U.conj().T @ as_matrix(T, dim=n) @ U
+    return U @ st.scatter.average(X[None])[0] @ U.conj().T

@@ -3,9 +3,11 @@
 The matrix format is the bit-exact interchange contract: complex entries
 are stored row-major as [re, im] pairs of binary64 floats, so that a
 serialize / parse round trip reproduces the array exactly.  All readers
-validate shape strictly and reject ragged rows.  ``canonical_dumps``
-fixes key order and separators, making equal report dicts byte-identical
-on disk.
+validate shape strictly and reject ragged rows; the algebra reader also
+refuses an ambient dimension above DIM_CAP and a basis whose span is not
+closed under products.  Block structures and reports are written only;
+nothing reads them back.  ``canonical_dumps`` fixes key order and
+separators, making equal report dicts byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import math
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, algebra_from_space
+from .algebra import MatrixAlgebra, algebra_from_space, verify_algebra
 from .blocks import BlockStructure
-from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig
+from .config import DEFAULT_CONFIG, DIM_CAP, InvalidInputError, NumericConfig, ResourceLimitError
 from .linalg import OperatorSubspace, as_matrix, op_norm, orthonormalize
 from .seminorms import DistanceReport
 
@@ -28,9 +30,7 @@ __all__ = [
     "algebra_to_json",
     "algebra_from_json",
     "structure_to_json",
-    "structure_from_json",
     "report_to_json",
-    "report_from_json",
     "jsonable",
     "canonical_dumps",
 ]
@@ -105,11 +105,18 @@ def algebra_to_json(A: MatrixAlgebra) -> dict:
 
 
 def algebra_from_json(obj, cfg: NumericConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
+    """Read an algebra; its basis must span a subspace closed under products.
+
+    A span that a product of two basis elements leaves is an InvalidInputError,
+    and a closure check too large to run is verify_algebra's ResourceLimitError.
+    """
     _require(isinstance(obj, dict), "algebra JSON must be an object")
     for key in ("ambient_dim", "unital", "selfadjoint", "basis"):
         _require(key in obj, f"algebra JSON needs {key}")
     n = obj["ambient_dim"]
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "ambient_dim must be a positive integer")
+    if n > DIM_CAP:
+        raise ResourceLimitError(f"ambient dimension {n} exceeds cap {DIM_CAP}")
     _require(isinstance(obj["basis"], list), "basis must be a list")
     mats = [matrix_from_json(m) for m in obj["basis"]]
     for M in mats:
@@ -119,6 +126,10 @@ def algebra_from_json(obj, cfg: NumericConfig = DEFAULT_CONFIG) -> MatrixAlgebra
     if space.dim and op_norm(gram - np.eye(space.dim)) > 1e-9:
         space = orthonormalize(mats, cfg, ambient_dim=n)
     A = algebra_from_space(space, cfg)
+    _require(
+        verify_algebra(A, cfg)["closure_defect"] <= cfg.eq_tol,
+        "basis does not span an algebra: a product of two elements leaves the span",
+    )
     _require(
         A.unital == bool(obj["unital"]),
         "stored unital flag disagrees with the basis",
@@ -141,27 +152,6 @@ def structure_to_json(st: BlockStructure) -> dict:
     }
 
 
-def structure_from_json(obj, cfg: NumericConfig = DEFAULT_CONFIG) -> BlockStructure:
-    _require(isinstance(obj, dict), "structure JSON must be an object")
-    _require("blocks" in obj and "unitary" in obj, "structure JSON needs blocks and unitary")
-    _require(isinstance(obj["blocks"], list) and obj["blocks"], "blocks must be a non-empty list")
-    blocks = []
-    for item in obj["blocks"]:
-        _require(isinstance(item, dict) and "s" in item and "m" in item, "each block needs s and m")
-        s, m = item["s"], item["m"]
-        ok = all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (s, m))
-        _require(ok, "block sizes must be positive integers")
-        blocks.append((s, m))
-    U = matrix_from_json(obj["unitary"])
-    n = U.shape[0]
-    _require(sum(s * m for s, m in blocks) == n, "block sizes do not sum to the unitary dimension")
-    _require(
-        op_norm(U.conj().T @ U - np.eye(n)) <= 1e-8 * max(1.0, n),
-        "stored unitary fails the unitarity check",
-    )
-    return BlockStructure(n, U, tuple(blocks))
-
-
 # ---------------------------------------------------------------------------
 # distance reports
 
@@ -175,24 +165,6 @@ def report_to_json(rep: DistanceReport) -> dict:
         "witness": None if rep.witness is None else matrix_to_json(rep.witness),
         "iterations": int(rep.iterations),
     }
-
-
-def report_from_json(obj) -> DistanceReport:
-    _require(isinstance(obj, dict), "report JSON must be an object")
-    for key in ("value", "lower", "upper", "converged", "witness", "iterations"):
-        _require(key in obj, f"report JSON needs {key}")
-    witness = None if obj["witness"] is None else matrix_from_json(obj["witness"])
-    iters = obj["iterations"]
-    _require(isinstance(iters, int) and not isinstance(iters, bool) and iters >= 0, "iterations must be a non-negative integer")
-    _require(isinstance(obj["converged"], bool), "converged must be a boolean")
-    return DistanceReport(
-        value=_number(obj["value"], "value"),
-        witness=witness,
-        lower_bound=_number(obj["lower"], "lower"),
-        upper_bound=_number(obj["upper"], "upper"),
-        iterations=iters,
-        converged=obj["converged"],
-    )
 
 
 # ---------------------------------------------------------------------------

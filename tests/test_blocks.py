@@ -6,6 +6,7 @@ from commutant import blocks as blocks_module
 from commutant.algebra import (
     block_layout,
     diagonal_algebra,
+    double_commutant,
     full_matrix_algebra,
     generate_algebra,
     hs_conditional_expectation,
@@ -16,7 +17,6 @@ from commutant.blocks import (
     BlockStructure,
     _check_structure,
     block_algebra,
-    block_average,
     minimal_central_projections,
     representative_unitary,
     structure_algebra,
@@ -29,6 +29,7 @@ from commutant.linalg import (
     haar_unitaries,
     haar_unitary,
     op_norm,
+    random_hermitian,
     random_matrix,
     subspace_equal,
 )
@@ -57,6 +58,21 @@ PLANTED = [
     ((12, 1),),
     ((2, 1), (2, 1), (1, 2), (1, 2), (1, 1), (1, 1)),
 ]
+
+
+def count_commutant_solves(monkeypatch, calls):
+    """Record in `calls` each relative_commutant or center call from here on,
+    made through the algebra module or any name blocks.py imported."""
+    for module in (algebra_module, blocks_module):
+        for name in ("relative_commutant", "center"):
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _solve=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
 
 
 def assert_recovers(A, blocks):
@@ -114,13 +130,7 @@ class TestWedderburn:
         # relative commutant is solved on the way
         A = random_block_star_algebra(np.random.default_rng(53), ((2, 2), (1, 3)))
         calls = []
-        for module, name in ((algebra_module, "relative_commutant"), (algebra_module, "center"),
-                             (blocks_module, "relative_commutant")):
-            def counted(*args, _solve=getattr(module, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _solve(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+        count_commutant_solves(monkeypatch, calls)
         assert wedderburn(A, CFG).blocks == ((2, 2), (1, 3))
         assert calls == []
 
@@ -204,16 +214,32 @@ class TestTwirl:
         # independent path: the twirl is the trace-preserving expectation onto
         # the double commutant, which equals the HS projection onto it
         rng = np.random.default_rng(49)
-        for blocks in [((2, 1), (1, 2)), ((2, 2),), ((1, 1), (1, 2))]:
-            A = random_block_star_algebra(rng, blocks)
+        algebras = [
+            random_block_star_algebra(rng, blocks)
+            for blocks in [((2, 1), (1, 2)), ((2, 2),), ((1, 1), (1, 2))]
+        ]
+        # a non-unital one: the compression of a Hermitian to a rank n - 1 corner
+        P = np.diag([1.0, 1.0, 1.0, 0.0])
+        H = random_hermitian(rng, 4)
+        algebras.append(generate_algebra([P @ H @ P], CFG, unital=False, star=True))
+        assert not algebras[-1].unital
+        for A in algebras:
             n = A.ambient_dim
             T = random_matrix(rng, n)
             E1 = twirl_expectation(T, A, CFG)
-            from commutant.algebra import double_commutant
-
             D = double_commutant(A, full_matrix_algebra(n), CFG)
             E2 = hs_conditional_expectation(T, D, CFG)
             np.testing.assert_allclose(E1, E2, atol=1e-8)
+
+    def test_solves_no_commutant(self, monkeypatch):
+        # the average runs on A's own blocks, with the identity adjoined
+        rng = np.random.default_rng(54)
+        calls = []
+        count_commutant_solves(monkeypatch, calls)
+        for A in (random_block_star_algebra(rng, ((2, 2), (1, 3))),
+                  generate_algebra([np.diag([1.0, 2.0, 0.0])], CFG, unital=False, star=True)):
+            twirl_expectation(random_matrix(rng, A.ambient_dim), A, CFG)
+        assert calls == []
 
     def test_channel_properties(self):
         rng = np.random.default_rng(50)
@@ -321,18 +347,16 @@ def kron_block_algebra_basis(blocks, unitary=None):
     return np.stack(basis)
 
 
-def einsum_block_average(st, T):
-    """Reference twirl: per diagonal block, I_s (x) (trace over the s factor) / s."""
-    U = st.unitary
-    Tt = U.conj().T @ T @ U
-    out = np.zeros_like(Tt)
+def einsum_multiplicity_average(blocks, X):
+    """Reference: per diagonal block, (trace over the m factor) / m (x) I_m."""
+    out = np.zeros_like(X)
     at = 0
-    for s, m in st.blocks:
+    for s, m in blocks:
         sl = slice(at, at + s * m)
-        ptr = np.einsum("ajal->jl", Tt[sl, sl].reshape(s, m, s, m)) / s
-        out[sl, sl] = np.kron(np.eye(s), ptr)
+        ptr = np.einsum("ajbj->ab", X[sl, sl].reshape(s, m, s, m)) / m
+        out[sl, sl] = np.kron(ptr, np.eye(m))
         at += s * m
-    return U @ out @ U.conj().T
+    return out
 
 
 class TestBlockLayout:
@@ -364,13 +388,14 @@ class TestBlockLayout:
             got = np.stack(block_algebra(blocks, U).basis)
             assert np.array_equal(got, kron_block_algebra_basis(blocks, U))
 
-    def test_block_average_matches_einsum_reference(self):
+    def test_multiplicity_average_matches_einsum_reference(self):
         rng = np.random.default_rng(48)
         for blocks in ORACLE_BLOCKS:
             n = sum(s * m for s, m in blocks)
-            st = BlockStructure(n, haar_unitary(rng, n), blocks)
-            T = random_matrix(rng, n)
-            assert np.array_equal(block_average(st, T), einsum_block_average(st, T))
+            sc = BlockStructure(n, np.eye(n), blocks).scatter
+            X = np.stack([random_matrix(rng, n) for _ in range(3)])
+            ref = np.stack([einsum_multiplicity_average(blocks, Z) for Z in X])
+            assert np.array_equal(sc.average(X), ref)
 
     def test_scatter_is_built_once(self):
         st = BlockStructure(3, np.eye(3), ((1, 2), (1, 1)))

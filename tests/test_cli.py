@@ -134,13 +134,39 @@ def test_gallery_unknown_item_exits_two(capsys):
 
 def test_size_beyond_cap_exits_two_without_traceback(capsys, tmp_path):
     gens = write_json(tmp_path / "g65.json", [matrix_to_json(np.eye(65))])
-    for argv in (["center", "--algebra", "full:65"], ["gen", "--generators", gens]):
+    alg = write_json(tmp_path / "a65.json", {
+        "ambient_dim": 65, "unital": True, "selfadjoint": True,
+        "basis": [matrix_to_json(np.eye(65) / np.sqrt(65))],
+    })
+    for argv in (["center", "--algebra", "full:65"], ["gen", "--generators", gens],
+                 ["center", "--algebra", alg]):
         code = main(argv)
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["center", "normal", "dn"])
+def test_span_not_closed_under_products_exits_two(capsys, tmp_path, command):
+    # span{E12, E21} is selfadjoint, but E12 E21 = E11 lies outside it
+    E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    alg = write_json(tmp_path / "open.json", {
+        "ambient_dim": 2, "unital": False, "selfadjoint": True,
+        "basis": [matrix_to_json(E12), matrix_to_json(E12.T)],
+    })
+    argv = {
+        "center": ["center", "--algebra", alg],
+        "normal": ["normal", "--algebra", alg, "--ambient", "full:2"],
+        "dn": ["dn", "--t", write_json(tmp_path / "t.json", matrix_to_json(np.diag([1.0, 0.0]))),
+               "--algebra", alg, "--ambient", "full:2"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from commutant.algebra import diagonal_algebra, full_matrix_algebra, generate_algebra
-from commutant.blocks import BlockStructure, wedderburn
+from commutant.blocks import wedderburn
 from commutant.config import DEFAULT_CONFIG as CFG
-from commutant.config import InvalidInputError
-from commutant.seminorms import DistanceReport
+from commutant.config import InvalidInputError, ResourceLimitError
 from commutant.serialize import (
     algebra_from_json,
     algebra_to_json,
@@ -18,9 +17,6 @@ from commutant.serialize import (
     matrices_from_json,
     matrix_from_json,
     matrix_to_json,
-    report_from_json,
-    report_to_json,
-    structure_from_json,
     structure_to_json,
 )
 
@@ -99,6 +95,24 @@ class TestAlgebraFormat:
         with pytest.raises(InvalidInputError):
             algebra_from_json(bad, CFG)
 
+    def test_ambient_dim_beyond_cap_refused_before_parsing(self):
+        # the basis is not even a matrix: the cap is checked first
+        obj = {"ambient_dim": 65, "unital": True, "selfadjoint": True, "basis": ["x"]}
+        with pytest.raises(ResourceLimitError):
+            algebra_from_json(obj, CFG)
+
+    def test_span_not_closed_under_products_rejected(self):
+        # span{E12, E21} is selfadjoint, but E12 E21 = E11 lies outside it
+        E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        obj = {
+            "ambient_dim": 2,
+            "unital": False,
+            "selfadjoint": True,
+            "basis": [matrix_to_json(E12), matrix_to_json(E12.T)],
+        }
+        with pytest.raises(InvalidInputError, match="algebra"):
+            algebra_from_json(obj, CFG)
+
     def test_dimension_mismatch_rejected(self):
         obj = {
             "ambient_dim": 3,
@@ -111,60 +125,15 @@ class TestAlgebraFormat:
 
 
 class TestStructureFormat:
-    def test_round_trip(self):
+    def test_writes_blocks_and_unitary(self):
         E12 = np.zeros((2, 2), dtype=np.complex128)
         E12[0, 1] = 1.0
         A = generate_algebra([E12 + E12.conj().T], CFG, star=True)
         st = wedderburn(A, CFG)
         obj = json.loads(json.dumps(structure_to_json(st)))
-        back = structure_from_json(obj, CFG)
-        assert back.blocks == st.blocks
-        assert np.array_equal(back.unitary, st.unitary)
-
-    def test_rejects_inconsistent_sizes(self):
-        obj = {"blocks": [{"s": 2, "m": 1}], "unitary": matrix_to_json(np.eye(3))}
-        with pytest.raises(InvalidInputError):
-            structure_from_json(obj, CFG)
-
-    def test_rejects_non_unitary(self):
-        obj = {"blocks": [{"s": 2, "m": 1}], "unitary": matrix_to_json(2.0 * np.eye(2))}
-        with pytest.raises(InvalidInputError):
-            structure_from_json(obj, CFG)
-
-
-class TestReportFormat:
-    def test_round_trip(self):
-        rep = DistanceReport(
-            value=1.25,
-            witness=np.eye(2, dtype=np.complex128),
-            lower_bound=1.2499,
-            upper_bound=1.2501,
-            iterations=17,
-            converged=True,
-        )
-        obj = json.loads(json.dumps(report_to_json(rep)))
-        back = report_from_json(obj)
-        assert back.value == rep.value
-        assert back.lower_bound == rep.lower_bound
-        assert back.upper_bound == rep.upper_bound
-        assert back.iterations == 17 and back.converged
-        assert np.array_equal(back.witness, rep.witness)
-
-    def test_null_witness(self):
-        rep = DistanceReport(
-            value=0.0, witness=None, lower_bound=0.0, upper_bound=0.0,
-            iterations=0, converged=True,
-        )
-        back = report_from_json(report_to_json(rep))
-        assert back.witness is None
-
-    def test_missing_field_rejected(self):
-        obj = report_to_json(
-            DistanceReport(0.0, None, 0.0, 0.0, 0, True)
-        )
-        del obj["lower"]
-        with pytest.raises(InvalidInputError):
-            report_from_json(obj)
+        assert sorted(obj) == ["blocks", "unitary"]
+        assert obj["blocks"] == [{"s": s, "m": m} for s, m in st.blocks]
+        assert np.array_equal(matrix_from_json(obj["unitary"]), st.unitary)
 
 
 class TestCanonicalDumps:
