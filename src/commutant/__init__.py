@@ -18,7 +18,6 @@ from .algebra import (
     double_commutant,
     full_matrix_algebra,
     generate_algebra,
-    hs_conditional_expectation,
     is_normal,
     relative_commutant,
     scalar_algebra,
@@ -112,7 +111,6 @@ __all__ = [
     "full_matrix_algebra",
     "generate_algebra",
     "haar_unitary",
-    "hs_conditional_expectation",
     "hs_inner",
     "hs_norm",
     "is_normal",

@@ -155,8 +155,7 @@ def algebra_from_space(
 
 
 def _adjoint_closed(space: OperatorSubspace, cfg: NumericConfig) -> bool:
-    adjoints = OperatorSubspace(space.ambient_dim, space.basis.conj().transpose(0, 2, 1))
-    return subspace_contains(space, adjoints, cfg)
+    return bool(np.all(space.residuals(space.basis.conj().transpose(0, 2, 1)) <= cfg.eq_tol))
 
 
 def generate_algebra(
@@ -478,29 +477,11 @@ def is_normal(
     double-commutant element far from A.
     """
     D = double_commutant(A, ambient, cfg)
-    inside = subspace_contains(D.space, A.space, cfg)
-    collapsed = subspace_contains(A.space, D.space, cfg)
-    if inside and collapsed:
+    residuals = A.space.residuals(D.basis)
+    if subspace_contains(D.space, A.space, cfg) and np.all(residuals <= cfg.eq_tol):
         return True, None
-    residuals = [A.space.residual(B) for B in D.basis]
-    witness = D.basis[int(np.argmax(residuals))] if residuals else None
+    witness = D.basis[int(np.argmax(residuals))] if residuals.size else None
     return False, witness
-
-
-def hs_conditional_expectation(
-    T, A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """Trace-preserving conditional expectation onto a selfadjoint unital algebra.
-
-    For such algebras the Hilbert-Schmidt orthogonal projection is the
-    unique trace-preserving conditional expectation, so this is just the
-    projection onto A's span.
-    """
-    if not (A.selfadjoint and A.unital):
-        raise InvalidInputError(
-            "conditional expectation needs a selfadjoint unital algebra"
-        )
-    return A.space.project(as_matrix(T, dim=A.ambient_dim))
 
 
 def verify_algebra(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
@@ -519,20 +500,15 @@ def verify_algebra(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> dic
             raise ResourceLimitError(
                 f"closure check of a {m}-dimensional algebra in M_{n} is too large"
             )
-        # one left factor at a time: B_i times the whole basis, one residual
-        S = space.stack
-        for B in space.basis:
-            P = (B @ space.basis).reshape(m, n * n)
-            R = P - (P @ S.conj().T) @ S
-            report["closure_defect"] = max(
-                report["closure_defect"], float(np.linalg.norm(R, axis=1).max())
-            )
+        # one left factor at a time: B_i times the whole basis
+        report["closure_defect"] = max(
+            float(space.residuals(B @ space.basis).max()) for B in space.basis
+        )
     if A.unital:
         report["unital_defect"] = space.residual(np.eye(n)) / np.sqrt(n)
     if A.selfadjoint:
-        report["adjoint_defect"] = max(
-            (space.residual(B.conj().T) for B in space.basis), default=0.0
-        )
+        adjoints = space.basis.conj().transpose(0, 2, 1)
+        report["adjoint_defect"] = float(space.residuals(adjoints).max(initial=0.0))
     report["passed"] = all(
         v <= cfg.eq_tol for k, v in report.items() if k != "passed"
     )

@@ -10,11 +10,11 @@ into matrix-unit partial isometries that give the adapted columns.  A draw
 is kept only when the conjugated basis is certified block diagonal.
 
 twirl_expectation() averages U* T U over the Haar measure of the unitary
-group of the commutant.  No commutant is solved: in the adapted basis of
-the double commutant D = A + C I, the commutant's unitaries are the
-direct sums of I_s tensor u_k, so the average keeps each block's
-multiplicity average and drops everything off the blocks.  The result is
-the trace-preserving conditional expectation onto the double commutant.
+group of the commutant.  That average is the trace-preserving conditional
+expectation onto the double commutant, which for the normalized trace is
+the Hilbert-Schmidt orthogonal projection onto it; for a selfadjoint A the
+double commutant is A with the identity adjoined, so the twirl is one
+projection and needs neither a commutant nor a block decomposition.
 """
 
 from __future__ import annotations
@@ -228,17 +228,16 @@ def twirl_expectation(
 
     Lands in the double commutant of A and lies in the closed convex hull
     of the unitary conjugates of T, so ||T - twirl(T)|| is at most the
-    derivation seminorm of T over that commutant.  For a selfadjoint A the
-    double commutant is D = A with the identity adjoined, and in D's
-    adapted basis (wedderburn) the commutant's unitaries are the direct
-    sums of I_s tensor u_k; their Haar average is each block's
-    multiplicity average, so no commutant is solved.
+    derivation seminorm of T over that commutant.  The average is a
+    trace-preserving conditional expectation onto the double commutant
+    (it fixes that algebra, is a bimodule map over it and keeps the
+    trace), and the only such map for the normalized trace is the
+    Hilbert-Schmidt orthogonal projection.  For a selfadjoint A the double
+    commutant is D = A with the identity adjoined (von Neumann), so the
+    twirl is the projection onto D's span.
     """
     if not A.selfadjoint:
         raise InvalidInputError("twirl needs a selfadjoint algebra")
     n = A.ambient_dim
-    D = A if A.unital else MatrixAlgebra(orthonormalize([np.eye(n), *A.basis], cfg, n), True, True)
-    st = wedderburn(D, cfg)
-    U = st.unitary
-    X = U.conj().T @ as_matrix(T, dim=n) @ U
-    return U @ st.scatter.average(X[None])[0] @ U.conj().T
+    D = A.space if A.unital else orthonormalize([np.eye(n), *A.basis], cfg, n)
+    return D.project(T)

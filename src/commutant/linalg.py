@@ -122,8 +122,14 @@ class OperatorSubspace:
 
     def residual(self, T) -> float:
         """Frobenius distance from T to this subspace."""
-        A = as_matrix(T, dim=self.ambient_dim)
-        return float(np.linalg.norm(A - self.project(A)))
+        return float(self.residuals(as_matrix(T, dim=self.ambient_dim)[None])[0])
+
+    def residuals(self, mats) -> np.ndarray:
+        """Frobenius distance from each matrix of a (k, n, n) stack to this subspace."""
+        n = self.ambient_dim
+        M = as_matrices(mats, n).reshape(-1, n * n)
+        S = self.stack
+        return np.linalg.norm(M - (M @ S.conj().T) @ S, axis=1)
 
     def gram_defect(self) -> float:
         """Max-abs deviation of the basis Gram matrix from the identity."""
@@ -184,8 +190,7 @@ def subspace_contains(
     """True when every element of W lies in V within eq_tol."""
     if V.ambient_dim != W.ambient_dim:
         raise InvalidInputError("subspaces live in different ambient dimensions")
-    R = W.stack - (W.stack @ V.stack.conj().T) @ V.stack
-    return bool(np.all(np.linalg.norm(R, axis=1) <= cfg.eq_tol))
+    return bool(np.all(V.residuals(W.basis) <= cfg.eq_tol))
 
 
 def subspace_equal(
@@ -198,8 +203,8 @@ def subspace_distance(V: OperatorSubspace, W: OperatorSubspace) -> float:
     """Largest basis-element residual in either direction; 0 iff equal spans."""
     if V.ambient_dim != W.ambient_dim:
         raise InvalidInputError("subspaces live in different ambient dimensions")
-    r = [V.residual(B) for B in W.basis] + [W.residual(B) for B in V.basis]
-    return max(r, default=0.0)
+    r = np.concatenate([V.residuals(W.basis), W.residuals(V.basis)])
+    return float(r.max(initial=0.0))
 
 
 def random_matrix(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -107,12 +107,16 @@ def algebra_to_json(A: MatrixAlgebra) -> dict:
 def algebra_from_json(obj, cfg: NumericConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
     """Read an algebra; its basis must span a subspace closed under products.
 
-    A span that a product of two basis elements leaves is an InvalidInputError,
-    and a closure check too large to run is verify_algebra's ResourceLimitError.
+    The unital and selfadjoint flags must be JSON booleans that agree with
+    the basis.  A span that a product of two basis elements leaves is an
+    InvalidInputError, and a closure check too large to run is
+    verify_algebra's ResourceLimitError.
     """
     _require(isinstance(obj, dict), "algebra JSON must be an object")
     for key in ("ambient_dim", "unital", "selfadjoint", "basis"):
         _require(key in obj, f"algebra JSON needs {key}")
+    for flag in ("unital", "selfadjoint"):
+        _require(isinstance(obj[flag], bool), f"{flag} must be true or false")
     n = obj["ambient_dim"]
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "ambient_dim must be a positive integer")
     if n > DIM_CAP:
@@ -131,11 +135,11 @@ def algebra_from_json(obj, cfg: NumericConfig = DEFAULT_CONFIG) -> MatrixAlgebra
         "basis does not span an algebra: a product of two elements leaves the span",
     )
     _require(
-        A.unital == bool(obj["unital"]),
+        A.unital == obj["unital"],
         "stored unital flag disagrees with the basis",
     )
     _require(
-        A.selfadjoint == bool(obj["selfadjoint"]),
+        A.selfadjoint == obj["selfadjoint"],
         "stored selfadjoint flag disagrees with the basis",
     )
     return A

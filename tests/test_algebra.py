@@ -4,13 +4,11 @@ import scipy.linalg
 
 from commutant.algebra import (
     MatrixAlgebra,
-    algebra_from_space,
     center,
     diagonal_algebra,
     double_commutant,
     full_matrix_algebra,
     generate_algebra,
-    hs_conditional_expectation,
     is_normal,
     relative_commutant,
     scalar_algebra,
@@ -588,42 +586,6 @@ class TestDoubleCommutantAndCenter:
         A = full_matrix_algebra(2)
         with pytest.raises(InvalidInputError):
             double_commutant(A, diagonal_algebra(2), CFG)
-
-
-class TestConditionalExpectation:
-    def test_projection_onto_masa_is_diagonal_part(self):
-        rng = np.random.default_rng(28)
-        T = random_matrix(rng, 4)
-        E = hs_conditional_expectation(T, diagonal_algebra(4), CFG)
-        np.testing.assert_allclose(E, np.diag(np.diag(T)), atol=1e-12)
-
-    def test_bimodule_and_trace_preservation(self):
-        rng = np.random.default_rng(29)
-        U = haar_unitary(rng, 4)
-        blocks = orthonormalize(
-            [U @ B @ U.conj().T for B in diagonal_algebra(4).basis], CFG
-        )
-        A = algebra_from_space(blocks, CFG)
-        T = random_matrix(rng, 4)
-        E = hs_conditional_expectation(T, A, CFG)
-        assert np.trace(E) == pytest.approx(np.trace(T), abs=1e-10)
-        a, b = A.basis[0], A.basis[2]
-        lhs = hs_conditional_expectation(a @ T @ b, A, CFG)
-        np.testing.assert_allclose(lhs, a @ E @ b, atol=1e-10)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(30)
-        T = random_matrix(rng, 3)
-        A = diagonal_algebra(3)
-        E = hs_conditional_expectation(T, A, CFG)
-        np.testing.assert_allclose(
-            hs_conditional_expectation(E, A, CFG), E, atol=1e-12
-        )
-
-    def test_rejects_non_star_algebra(self):
-        A = generate_algebra([np.array([[0, 1.0], [0, 0]])], CFG)
-        with pytest.raises(InvalidInputError):
-            hs_conditional_expectation(np.eye(2), A, CFG)
 
 
 class TestVerifyAlgebra:

@@ -4,12 +4,12 @@ import pytest
 from commutant import algebra as algebra_module
 from commutant import blocks as blocks_module
 from commutant.algebra import (
+    algebra_from_space,
     block_layout,
     diagonal_algebra,
     double_commutant,
     full_matrix_algebra,
     generate_algebra,
-    hs_conditional_expectation,
     relative_commutant,
     scalar_algebra,
 )
@@ -29,6 +29,7 @@ from commutant.linalg import (
     haar_unitaries,
     haar_unitary,
     op_norm,
+    orthonormalize,
     random_hermitian,
     random_matrix,
     subspace_equal,
@@ -228,18 +229,43 @@ class TestTwirl:
             T = random_matrix(rng, n)
             E1 = twirl_expectation(T, A, CFG)
             D = double_commutant(A, full_matrix_algebra(n), CFG)
-            E2 = hs_conditional_expectation(T, D, CFG)
+            E2 = D.space.project(T)
             np.testing.assert_allclose(E1, E2, atol=1e-8)
 
     def test_solves_no_commutant(self, monkeypatch):
-        # the average runs on A's own blocks, with the identity adjoined
+        # one projection onto A with the identity adjoined: no commutant
+        # solve and no Wedderburn draw
         rng = np.random.default_rng(54)
         calls = []
         count_commutant_solves(monkeypatch, calls)
+
+        def counted_wedderburn(*args, **kwargs):
+            calls.append("wedderburn")
+            return wedderburn(*args, **kwargs)
+
+        monkeypatch.setattr(blocks_module, "wedderburn", counted_wedderburn)
         for A in (random_block_star_algebra(rng, ((2, 2), (1, 3))),
                   generate_algebra([np.diag([1.0, 2.0, 0.0])], CFG, unital=False, star=True)):
             twirl_expectation(random_matrix(rng, A.ambient_dim), A, CFG)
         assert calls == []
+
+    def test_bimodule_and_trace_preservation(self):
+        rng = np.random.default_rng(29)
+        U = haar_unitary(rng, 4)
+        A = algebra_from_space(
+            orthonormalize([U @ B @ U.conj().T for B in diagonal_algebra(4).basis], CFG), CFG
+        )
+        T = random_matrix(rng, 4)
+        E = twirl_expectation(T, A, CFG)
+        assert np.trace(E) == pytest.approx(np.trace(T), abs=1e-10)
+        a, b = A.basis[0], A.basis[2]
+        lhs = twirl_expectation(a @ T @ b, A, CFG)
+        np.testing.assert_allclose(lhs, a @ E @ b, atol=1e-10)
+
+    def test_rejects_non_star_algebra(self):
+        A = generate_algebra([np.array([[0, 1.0], [0, 0]])], CFG)
+        with pytest.raises(InvalidInputError):
+            twirl_expectation(np.eye(2), A, CFG)
 
     def test_channel_properties(self):
         rng = np.random.default_rng(50)

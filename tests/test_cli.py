@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from commutant.algebra import generate_algebra
 from commutant.cli import COMMANDS, main
 from commutant.config import StructureError
 from commutant.gallery import corner_traceless_algebra, selfcommutant_triangular
@@ -96,11 +97,19 @@ def test_commutant_center_wedderburn_shorthands(capsys):
     assert out["result"]["structure"]["blocks"] == [{"m": 1, "s": 1}] * 3
 
 
-def test_expect_lands_in_bicommutant(capsys, tmp_path):
+@pytest.mark.parametrize("algebra", ["diag:3", "corner"])
+def test_expect_lands_in_bicommutant(capsys, tmp_path, algebra):
     rng = np.random.default_rng(5)
     T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     tpath = write_json(tmp_path / "t.json", matrix_to_json(T))
-    code, out = run_cli(capsys, "expect", "--t", tpath, "--algebra", "diag:3")
+    if algebra == "corner":
+        # non-unital: the compression of a Hermitian to a rank-2 corner
+        P = np.diag([1.0, 1.0, 0.0])
+        H = rng.standard_normal((3, 3))
+        A = generate_algebra([P @ (H + H.T) @ P], unital=False, star=True)
+        assert not A.unital
+        algebra = write_json(tmp_path / "a.json", algebra_to_json(A))
+    code, out = run_cli(capsys, "expect", "--t", tpath, "--algebra", algebra)
     assert code == 0
     assert out["result"]["bicommutant_residual"] <= 1e-8
     assert out["result"]["moved"] >= 0.0

@@ -89,11 +89,20 @@ class TestAlgebraFormat:
         A = algebra_from_json(obj, CFG)
         assert A.dim == 2
 
-    def test_flag_mismatch_rejected(self):
+    # a wrong flag, and flags that are not JSON booleans
+    @pytest.mark.parametrize(
+        "key, value",
+        [("selfadjoint", False)]
+        + [
+            (key, value)
+            for key in ("unital", "selfadjoint")
+            for value in ("false", "no", 0.5, [1], {"a": 1}, 1, None)
+        ],
+    )
+    def test_flag_mismatch_rejected(self, key, value):
         good = algebra_to_json(full_matrix_algebra(2))
-        bad = dict(good, selfadjoint=False)
         with pytest.raises(InvalidInputError):
-            algebra_from_json(bad, CFG)
+            algebra_from_json(dict(good, **{key: value}), CFG)
 
     def test_ambient_dim_beyond_cap_refused_before_parsing(self):
         # the basis is not even a matrix: the cap is checked first
