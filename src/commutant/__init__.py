@@ -26,8 +26,6 @@ from .algebra import (
 from .blocks import (
     BlockStructure,
     minimal_central_projections,
-    representative_unitary,
-    structure_algebra,
     twirl_expectation,
     wedderburn,
 )
@@ -49,7 +47,6 @@ from .linalg import (
     commutator,
     direct_sum,
     haar_unitary,
-    hs_inner,
     hs_norm,
     op_norm,
     orthonormalize,
@@ -111,7 +108,6 @@ __all__ = [
     "full_matrix_algebra",
     "generate_algebra",
     "haar_unitary",
-    "hs_inner",
     "hs_norm",
     "is_normal",
     "kn_lower_estimate",
@@ -126,13 +122,11 @@ __all__ = [
     "ramp_weighted_shift",
     "relative_commutant",
     "report_to_json",
-    "representative_unitary",
     "run_gallery",
     "run_suite",
     "sampling_seminorm_bound",
     "scalar_algebra",
     "selfcommutant_triangular",
-    "structure_algebra",
     "structure_stability_report",
     "structure_to_json",
     "subspace_distance",

@@ -91,17 +91,16 @@ def block_layout(blocks) -> list:
 
     Block k = (s, m) covers rows and columns off .. off + s*m - 1, where off
     is the s*m total of the blocks before it.  Entry (a, b) of its M_s factor
-    on multiplicity copies (j, l) sits at row off + a*m + j and column
-    off + b*m + l.  For each block the returned (s, s, m, m) integer array
-    holds at [a, b, j, l] the position row * n + column of that entry in
-    the flattened matrix.  Its j = l diagonal carries the algebra
-    (M_s tensor I_m) and its a = b diagonal the commutant (I_s tensor M_m).
+    on multiplicity copy j sits at row off + a*m + j and column
+    off + b*m + j.  For each block the returned (s, s, m) integer array
+    holds at [a, b, j] the position row * n + column of that entry in the
+    flattened matrix, so E_ab tensor I_m is one at the m positions [a, b].
     """
     n = sum(s * m for s, m in blocks)
     table, off = [], 0
     for s, m in blocks:
         rows = off + np.arange(s)[:, None] * m + np.arange(m)
-        table.append(rows[:, None, :, None] * n + rows[None, :, None, :])
+        table.append(rows[:, None, :] * n + rows[None, :, :])
         off += s * m
     return table
 
@@ -121,7 +120,7 @@ def block_algebra(blocks, unitary=None) -> MatrixAlgebra:
     at = 0
     for (s, m), pos in zip(blocks, block_layout(blocks)):
         rows = at + np.arange(s * s)[:, None]
-        units[rows, np.diagonal(pos, axis1=2, axis2=3).reshape(s * s, m)] = 1.0 / np.sqrt(m)
+        units[rows, pos.reshape(s * s, m)] = 1.0 / np.sqrt(m)
         at += s * s
     basis = units.reshape(-1, n, n)
     if unitary is not None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# block_algebra is not used here: perfbench calls it as commutant.blocks.block_algebra
 from .algebra import MatrixAlgebra, _clusters, block_algebra, block_layout
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig, StructureError
 from .linalg import OperatorSubspace, as_matrix, orthonormalize
@@ -32,12 +33,21 @@ _REDRAWS = 5
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Unitary U and block sizes with U* A U = direct sum of M_s tensor I_m."""
+    """Unitary U and block sizes with U* A U = direct sum of M_s tensor I_m.
+
+    The blocks of one shape (s, m) form a group whose unitaries are held as
+    one (..., K, s, s) array.  For the k-th block of group g,
+    positions[g][k] is that block's block_layout table: [a, b, j] is the
+    flat position of entry (a, b) on multiplicity copy j.  So u tensor I_m
+    lands in place with one fancy-index assignment and a block partial
+    trace is one gather.
+    """
 
     ambient_dim: int
     unitary: np.ndarray
     blocks: tuple  # ((s_1, m_1), (s_2, m_2), ...)
-    scatter: "_BlockScatter" = field(init=False, repr=False, compare=False)
+    members: list = field(init=False, repr=False, compare=False)
+    positions: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         U = as_matrix(self.unitary, dim=self.ambient_dim)
@@ -47,36 +57,15 @@ class BlockStructure:
         object.__setattr__(self, "blocks", tuple((int(s), int(m)) for s, m in self.blocks))
         if sum(s * m for s, m in self.blocks) != self.ambient_dim:
             raise InvalidInputError("block sizes do not sum to the ambient dimension")
-        object.__setattr__(self, "scatter", _BlockScatter(self.blocks))
+        table, members = block_layout(self.blocks), {}
+        for k, shape in enumerate(self.blocks):
+            members.setdefault(shape, []).append(k)
+        object.__setattr__(self, "members", list(members.values()))
+        object.__setattr__(self, "positions", [np.stack([table[k] for k in ks]) for ks in self.members])
 
     @property
     def algebra_dim(self) -> int:
         return sum(s * s for s, _ in self.blocks)
-
-
-class _BlockScatter:
-    """Scatter and gather positions of a block layout, blocks grouped by shape.
-
-    table is block_layout(blocks).  The blocks of one shape (s, m) form a
-    group whose unitaries are held as one (..., K, s, s) array, and
-    flat[g][k, a, b, j] is the j = l diagonal of the k-th block's table:
-    the position of entry (a, b) of that block on its j-th multiplicity
-    copy.  So u tensor I_m lands in place with one fancy-index assignment
-    and a block partial trace is one gather.
-    """
-
-    def __init__(self, blocks):
-        self.n = sum(s * m for s, m in blocks)
-        self.table = block_layout(blocks)
-        members = {}
-        for k, shape in enumerate(blocks):
-            members.setdefault(shape, []).append(k)
-        self.shapes = list(members)
-        self.members = list(members.values())
-        self.flat = [
-            np.stack([np.diagonal(self.table[k], axis1=2, axis2=3) for k in ks])
-            for ks in self.members
-        ]
 
     def group(self, per_block) -> list:
         """Stack per-block (..., s, s) arrays into per-group (..., K, s, s) arrays."""
@@ -84,21 +73,22 @@ class _BlockScatter:
 
     def assemble(self, Us) -> np.ndarray:
         """(R, n, n) direct sums of u tensor I_m from per-group (R, K, s, s) unitaries."""
+        n = self.ambient_dim
         R = Us[0].shape[0]
-        out = np.zeros((R, self.n * self.n), dtype=np.complex128)
-        for idx, u in zip(self.flat, Us):
+        out = np.zeros((R, n * n), dtype=np.complex128)
+        for idx, u in zip(self.positions, Us):
             out[:, idx] = u[..., None]
-        return out.reshape(R, self.n, self.n)
+        return out.reshape(R, n, n)
 
     def block_traces(self, X: np.ndarray) -> list:
         """Per-group (R, K, s, s) partial traces over multiplicity of (R, n, n) X."""
-        Xf = X.reshape(X.shape[0], self.n * self.n)
-        return [Xf[:, idx].sum(axis=-1) for idx in self.flat]
+        Xf = X.reshape(X.shape[0], self.ambient_dim**2)
+        return [Xf[:, idx].sum(axis=-1) for idx in self.positions]
 
     def average(self, X: np.ndarray) -> np.ndarray:
         """(R, n, n) X with each block's part replaced by its multiplicity average."""
         traces = self.block_traces(X)
-        return self.assemble([t / m for t, (_, m) in zip(traces, self.shapes)])
+        return self.assemble([t / self.blocks[ks[0]][1] for t, ks in zip(traces, self.members)])
 
 
 def _generic_element(space: OperatorSubspace, rng) -> np.ndarray:
@@ -203,22 +193,9 @@ def _check_structure(A: MatrixAlgebra, st: BlockStructure, cfg: NumericConfig):
     # each conjugated basis element must equal its multiplicity average
     S = A.space.stack
     Bt = U.conj().T @ A.basis @ U
-    defect = np.linalg.norm((Bt - st.scatter.average(Bt)).reshape(len(S), -1), axis=1)
+    defect = np.linalg.norm((Bt - st.average(Bt)).reshape(len(S), -1), axis=1)
     if (defect > cfg.eq_tol * np.maximum(1.0, np.linalg.norm(S, axis=1))).any():
         raise StructureError("conjugated basis is not in block form")
-
-
-def structure_algebra(st: BlockStructure) -> MatrixAlgebra:
-    """Rebuild the algebra a BlockStructure describes."""
-    return block_algebra(st.blocks, st.unitary)
-
-
-def representative_unitary(st: BlockStructure, block_unitaries) -> np.ndarray:
-    """Assemble U (+) ... from per-block s x s unitaries, in ambient coordinates."""
-    sc = st.scatter
-    per_block = [as_matrix(u, dim=s)[None] for (s, _), u in zip(st.blocks, block_unitaries)]
-    Ub = sc.assemble(sc.group(per_block))[0]
-    return st.unitary @ Ub @ st.unitary.conj().T
 
 
 def twirl_expectation(

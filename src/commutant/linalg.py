@@ -50,11 +50,6 @@ def op_norm(M) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def hs_inner(X, Y) -> complex:
-    """<X, Y> = trace(Y^* X)."""
-    return complex(np.vdot(Y, X))
-
-
 def hs_norm(X) -> float:
     return float(np.linalg.norm(X))
 

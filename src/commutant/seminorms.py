@@ -18,7 +18,7 @@ Two optimization problems live here:
   The blocks of one shape (s, m) are factorized together: their unitaries
   are held as one stacked array, so each polar step is one batched s x s
   SVD and each tangent step one batched eigh per block shape (closed forms
-  for s = 1), and assembly is a single precomputed scatter.
+  for s = 1), and assembly writes into precomputed flat positions.
   A polar step does not decompose the n x n commutators it produces: two
   power steps from the previous left singular vector track their top
   singular pair, which keeps the ascent monotone, and each polar phase
@@ -49,6 +49,7 @@ from .linalg import (
     haar_unitaries,
     op_norm,
     subspace_contains,
+    subspace_equal,
 )
 
 _GAP_TOL = 1e-6
@@ -56,6 +57,8 @@ _ZERO_DN = 1e-8
 # polar steps per ascent phase, and the first tangent step length
 _MAX_ITERS = 400
 _STEP0 = 0.5
+# tangent steps per polish round, and tangent-polar rounds per polish
+_TANGENT_ROUNDS, _POLISH_CYCLES = 40, 30
 # power steps per polar step that track the commutator's top singular pair;
 # with one, a polar phase of the benchmark pool ran into _MAX_ITERS
 _POWER_STEPS = 2
@@ -131,6 +134,16 @@ def commutant_model(
     structure = wedderburn(star_comm, cfg)
     bicomm = relative_commutant(span_comm, ambient, cfg)
     return CommutantModel(A, ambient, span_comm, star_comm, structure, bicomm)
+
+
+def _model_for(A, ambient, cfg, model) -> CommutantModel:
+    """model, checked to be built for A in ambient, or a new model if None."""
+    if model is None:
+        return commutant_model(A, ambient, cfg)
+    for built, given in ((model.algebra, A), (model.ambient, ambient)):
+        if built is not given and not subspace_equal(built.space, given.space, cfg):
+            raise InvalidInputError("the commutant model was built for another algebra")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +377,7 @@ def _power_steps(F: np.ndarray, w: np.ndarray):
     return sigma, w, u
 
 
-def _polar_phase_batch(Tt: np.ndarray, layout, Us):
+def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
     """Monotone polar ascent run on all restarts at once.
 
     Each step re-aligns every restart's block unitaries with its current
@@ -387,7 +400,7 @@ def _polar_phase_batch(Tt: np.ndarray, layout, Us):
     """
 
     def commutators(Us):
-        Ub = layout.assemble(Us)
+        Ub = st.assemble(Us)
         return Ub @ Tt - Tt @ Ub
 
     R = Us[0].shape[0]
@@ -401,7 +414,7 @@ def _polar_phase_batch(Tt: np.ndarray, layout, Us):
         b = np.einsum("ij,rj->ri", Tt, u)
         c = np.einsum("ji,rj->ri", Tt.conj(), w)
         X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
-        new = [_polar_unitaries(Y) for Y in layout.block_traces(X)]
+        new = [_polar_unitaries(Y) for Y in st.block_traces(X)]
         sig_new, w_new, u_new = _power_steps(commutators(new), w)
         iters += 1
         gained = sig_new > sigma + 1e-13 * np.maximum(1.0, sigma)
@@ -418,30 +431,30 @@ def _polar_phase_batch(Tt: np.ndarray, layout, Us):
     return norms, Us, iters, bool((stall < 2).any())
 
 
-def _tangent_polish(Tt, layout, Us, max_rounds: int):
+def _tangent_polish(Tt, st: BlockStructure, Us):
     """exp(i t H) ascent along the subgradient from a single restart state.
 
     Us holds one (1, K, s, s) array per block shape.
     """
-    Ub = layout.assemble(Us)[0]
+    Ub = st.assemble(Us)[0]
     F = Ub @ Tt - Tt @ Ub
     sigma, w, u = _top_pair(F)
     t = _STEP0
     evals = 0
-    for _ in range(max_rounds):
+    for _ in range(_TANGENT_ROUNDS):
         b = Tt @ u
         c = Tt.conj().T @ w
         a = Ub.conj().T @ w
         dvec = Ub.conj().T @ c
         G = 1j * (np.outer(b, a.conj()) - np.outer(u, dvec.conj()))
         G = (G + G.conj().T) / 2.0
-        Hs = layout.block_traces(G[None])
+        Hs = st.block_traces(G[None])
         hnorm = max(max(float(np.linalg.norm(H, axis=(-2, -1)).max()) for H in Hs), 1e-30)
         expis = [_expi_factory(H / hnorm) for H in Hs]
         improved = False
         while t > 1e-9:
             cand = [u0 @ expi(t) for u0, expi in zip(Us, expis)]
-            Ub_c = layout.assemble(cand)[0]
+            Ub_c = st.assemble(cand)[0]
             F_c = Ub_c @ Tt - Tt @ Ub_c
             sig_c, w_c, u_c = _top_pair(F_c)
             evals += 1
@@ -456,7 +469,7 @@ def _tangent_polish(Tt, layout, Us, max_rounds: int):
     return sigma, Us, evals
 
 
-def _alternating_polish(Tt, layout, Us, cycles: int = 30):
+def _alternating_polish(Tt, st: BlockStructure, Us):
     """Alternate tangent ascent with polar re-descent until the gain dries up.
 
     The polar phase iteration can stall on creased level sets where the top
@@ -465,9 +478,9 @@ def _alternating_polish(Tt, layout, Us, cycles: int = 30):
     """
     value = -np.inf
     evals = caps = 0
-    for _ in range(cycles):
-        v_t, Us, ev = _tangent_polish(Tt, layout, Us, 40)
-        v_p, Us, iters, capped = _polar_phase_batch(Tt, layout, Us)
+    for _ in range(_POLISH_CYCLES):
+        v_t, Us, ev = _tangent_polish(Tt, st, Us)
+        v_p, Us, iters, capped = _polar_phase_batch(Tt, st, Us)
         evals += ev + iters
         caps += capped
         new = max(v_t, float(v_p[0]))
@@ -575,10 +588,10 @@ def derivation_seminorm(
     As diagnostics only, details["restart_consensus"] counts how many of
     the R restart values and the polished value reached the final value,
     out of R + 1, and details["polar_cap_hits"] the polar phases that
-    stopped at their iteration cap with a restart still gaining.
+    stopped at their iteration cap with a restart still gaining.  A model
+    passed in must span A and ambient, or InvalidInputError is raised.
     """
-    if model is None:
-        model = commutant_model(A, ambient, cfg)
+    model = _model_for(A, ambient, cfg, model)
     Tm = as_matrix(T, dim=ambient.ambient_dim)
     st = model.structure
     scale = max(1.0, op_norm(Tm))
@@ -590,26 +603,25 @@ def derivation_seminorm(
         return _report(0.0, np.eye(n, dtype=np.complex128), 0.0, 0.0, 0, scale, details)
     W = st.unitary
     Tt = W.conj().T @ Tm @ W
-    layout = st.scatter
     draws = []
     for restart in range(cfg.opt_restarts):
         rng = cfg.rng(205, restart)
         draws.append(
-            layout.group([
+            st.group([
                 rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
                 for s, _ in st.blocks
             ])
         )
     Us = [np.linalg.qr(np.stack(group))[0] for group in zip(*draws)]
-    sigma, Us, iters, caps = _polar_phase_batch(Tt, layout, Us)
+    sigma, Us, iters, caps = _polar_phase_batch(Tt, st, Us)
     best = np.argsort(-sigma)[0]
     value, state, evals, polish_caps = _alternating_polish(
-        Tt, layout, [u[best : best + 1].copy() for u in Us]
+        Tt, st, [u[best : best + 1].copy() for u in Us]
     )
     votes = np.append(sigma, value)
     details["restart_consensus"] = int(np.sum(value - votes <= _GAP_TOL * scale))
     details["polar_cap_hits"] = int(caps + polish_caps)
-    witness = W @ layout.assemble(state)[0] @ W.conj().T
+    witness = W @ st.assemble(state)[0] @ W.conj().T
     # every U in the commutant commutes with A'', so ||UT - TU|| <= 2 ||T - a||
     if compute_upper:
         upper = 2.0 * dist_opnorm(Tm, model.bicommutant.space, cfg).value
@@ -628,17 +640,16 @@ def sampling_seminorm_bound(
 ) -> float:
     """Monte-Carlo lower bound: max ||UT - TU|| over Haar commutant unitaries.
 
-    Independent of the ascent path; always at most the true sup.
+    Independent of the ascent path; always at most the true sup.  A model
+    passed in must span A and ambient, or InvalidInputError is raised.
     """
-    if model is None:
-        model = commutant_model(A, ambient, cfg)
+    model = _model_for(A, ambient, cfg, model)
     Tm = as_matrix(T, dim=ambient.ambient_dim)
     st = model.structure
     if model.trivial or num_samples <= 0:
         return 0.0
     W = st.unitary
     Tt = W.conj().T @ Tm @ W
-    layout = st.scatter
     rng = cfg.rng(206)
     best = 0.0
     chunk = 2000
@@ -646,7 +657,7 @@ def sampling_seminorm_bound(
     while done < num_samples:
         batch = min(chunk, num_samples - done)
         draws = [haar_unitaries(rng, s, batch) for s, _ in st.blocks]
-        Ub = layout.assemble(layout.group(draws))
+        Ub = st.assemble(st.group(draws))
         F = Ub @ Tt - Tt @ Ub
         svals = np.linalg.svd(F, compute_uv=False)
         best = max(best, float(svals[:, 0].max()))

@@ -17,13 +17,14 @@ import time
 import numpy as np
 
 from .algebra import (
+    block_algebra,
     diagonal_algebra,
     full_matrix_algebra,
     generate_algebra,
     scalar_algebra,
     verify_algebra,
 )
-from .blocks import block_algebra, structure_algebra, twirl_expectation, wedderburn
+from .blocks import twirl_expectation, wedderburn
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig
 from .gallery import (
     commutative_normality_scan,
@@ -133,57 +134,50 @@ def _criterion_4(seed: int) -> dict:
     }
 
 
-def _criterion_5(seed: int) -> dict:
+def _sweep(seed: int, make, key: int):
+    """Yield (T, seminorm, distance) for 100 seeded T in M_n against make(n), n = 2..5.
+
+    One commutant model serves each n; the seminorm is the ascent's value
+    and the distance the certified operator-norm distance to make(n).
+    """
     cfg = _cfg(seed)
-    worst = 0.0
-    failures = 0
     for n in (2, 3, 4, 5):
         ambient = full_matrix_algebra(n)
-        model = commutant_model(scalar_algebra(n), ambient, cfg)
+        model = commutant_model(make(n), ambient, cfg)
         for i in range(100):
-            rng = cfg.rng(505, n, i)
-            T = random_matrix(rng, n)
+            T = random_matrix(cfg.rng(key, n, i), n)
             dn = derivation_seminorm(
                 T, model.algebra, ambient, cfg, model=model, compute_upper=False
             ).value
-            dist = dist_opnorm(T, model.algebra.space, cfg).value
-            scaled = abs(dn - 2.0 * dist) / (1.0 + op_norm(T))
-            worst = max(worst, scaled)
-            failures += int(scaled > 1e-5)
+            yield T, dn, dist_opnorm(T, model.algebra.space, cfg).value
+
+
+def _criterion_5(seed: int) -> dict:
+    scaled = [
+        abs(dn - 2.0 * dist) / (1.0 + op_norm(T))
+        for T, dn, dist in _sweep(seed, scalar_algebra, 505)
+    ]
+    failures = sum(int(x > 1e-5) for x in scaled)
     return {
         "id": 5,
         "name": "seminorm against scalars doubles the distance to scalars",
         "instances": 400,
-        "worst_scaled_deviation": float(worst),
+        "worst_scaled_deviation": float(max(scaled)),
         "failures": failures,
         "passed": failures == 0,
     }
 
 
 def _criterion_6(seed: int) -> dict:
-    cfg = _cfg(seed)
-    worst = -np.inf
-    failures = 0
-    for n in (2, 3, 4, 5):
-        ambient = full_matrix_algebra(n)
-        model = commutant_model(diagonal_algebra(n), ambient, cfg)
-        for i in range(100):
-            rng = cfg.rng(506, n, i)
-            T = random_matrix(rng, n)
-            dn = derivation_seminorm(
-                T, model.algebra, ambient, cfg, model=model, compute_upper=False
-            ).value
-            dist = dist_opnorm(T, model.algebra.space, cfg).value
-            excess = dist - dn
-            worst = max(worst, excess)
-            failures += int(excess > 1e-6)
-    kn = kn_lower_estimate(diagonal_algebra(4), full_matrix_algebra(4), 200, cfg)
+    excess = [dist - dn for _, dn, dist in _sweep(seed, diagonal_algebra, 506)]
+    failures = sum(int(x > 1e-6) for x in excess)
+    kn = kn_lower_estimate(diagonal_algebra(4), full_matrix_algebra(4), 200, _cfg(seed))
     kn_ok = 0.0 < kn <= 1.0 + 1e-4
     return {
         "id": 6,
         "name": "masa distance below the seminorm; empirical constant at most one",
         "instances": 400,
-        "worst_excess": float(worst),
+        "worst_excess": float(max(excess)),
         "failures": failures,
         "kn_estimate": float(kn),
         "passed": failures == 0 and bool(kn_ok),
@@ -297,8 +291,9 @@ def _criterion_10(seed: int) -> dict:
         A = _menu_algebra(rng, n, kind, cfg)
         ambient = full_matrix_algebra(n)
         T = random_matrix(rng, n)
-        dn = derivation_seminorm(T, A, ambient, cfg, compute_upper=False).value
-        oracle = sampling_seminorm_bound(T, A, ambient, 10_000, cfg)
+        model = commutant_model(A, ambient, cfg)
+        dn = derivation_seminorm(T, A, ambient, cfg, model, compute_upper=False).value
+        oracle = sampling_seminorm_bound(T, A, ambient, 10_000, cfg, model)
         scale = max(1.0, op_norm(T))
         dominated = dn >= oracle - 1e-9 * scale
         deficit = (dn - oracle) / max(oracle, 1e-6 * scale)
@@ -407,7 +402,7 @@ def _inv_block_reconstruction(seed: int) -> dict:
         n = int(rng.integers(2, 7))
         A = block_algebra(_random_block_partition(rng, n), haar_unitary(rng, n))
         st = wedderburn(A, cfg)
-        worst = max(worst, subspace_distance(structure_algebra(st).space, A.space))
+        worst = max(worst, subspace_distance(block_algebra(st.blocks, st.unitary).space, A.space))
     return {"name": "block decomposition reconstructs the algebra", "instances": 10,
             "worst_distance": float(worst), "passed": worst < 1e-8}
 
@@ -425,7 +420,7 @@ def _inv_twirl_is_expectation(seed: int) -> dict:
         # unitaries, which keeps each Wedderburn block's multiplicity average
         st = wedderburn(A, cfg)
         U = st.unitary
-        ref = U @ st.scatter.average((U.conj().T @ T @ U)[None])[0] @ U.conj().T
+        ref = U @ st.average((U.conj().T @ T @ U)[None])[0] @ U.conj().T
         tw2 = twirl_expectation(tw, A, cfg)
         worst = max(
             worst,

@@ -18,8 +18,6 @@ from commutant.blocks import (
     _check_structure,
     block_algebra,
     minimal_central_projections,
-    representative_unitary,
-    structure_algebra,
     twirl_expectation,
     wedderburn,
 )
@@ -76,13 +74,19 @@ def count_commutant_solves(monkeypatch, calls):
             monkeypatch.setattr(module, name, counted)
 
 
+def representative_unitary(st, block_unitaries):
+    """U (+) ... from per-block s x s unitaries, in ambient coordinates."""
+    per_block = [np.asarray(u)[None] for u in block_unitaries]
+    return st.unitary @ st.assemble(st.group(per_block))[0] @ st.unitary.conj().T
+
+
 def assert_recovers(A, blocks):
     st = wedderburn(A, CFG)
     assert sorted(st.blocks) == sorted(blocks)
     assert list(st.blocks) == sorted(blocks, key=lambda b: (-b[0], -b[1]))
     _check_structure(A, st, CFG)
     # conjugated basis elements must be exactly block form: rebuild and compare
-    assert subspace_equal(structure_algebra(st).space, A.space, CFG)
+    assert subspace_equal(block_algebra(st.blocks, st.unitary).space, A.space, CFG)
 
 
 class TestCentralProjections:
@@ -388,10 +392,10 @@ def einsum_multiplicity_average(blocks, X):
 class TestBlockLayout:
     def test_index_convention(self):
         first, second = block_layout(((2, 2), (1, 1)))
-        assert first.shape == (2, 2, 2, 2) and second.shape == (1, 1, 1, 1)
-        for a, b, j, l in np.ndindex(2, 2, 2, 2):
-            assert first[a, b, j, l] == (2 * a + j) * 5 + (2 * b + l)
-        assert second[0, 0, 0, 0] == 4 * 5 + 4
+        assert first.shape == (2, 2, 2) and second.shape == (1, 1, 1)
+        for a, b, j in np.ndindex(2, 2, 2):
+            assert first[a, b, j] == (2 * a + j) * 5 + (2 * b + j)
+        assert second[0, 0, 0] == 4 * 5 + 4
 
     def test_stock_algebras_are_matrix_units(self):
         for n in (1, 2, 3, 7, 12):
@@ -418,14 +422,27 @@ class TestBlockLayout:
         rng = np.random.default_rng(48)
         for blocks in ORACLE_BLOCKS:
             n = sum(s * m for s, m in blocks)
-            sc = BlockStructure(n, np.eye(n), blocks).scatter
+            st = BlockStructure(n, np.eye(n), blocks)
             X = np.stack([random_matrix(rng, n) for _ in range(3)])
             ref = np.stack([einsum_multiplicity_average(blocks, Z) for Z in X])
-            assert np.array_equal(sc.average(X), ref)
+            assert np.array_equal(st.average(X), ref)
 
-    def test_scatter_is_built_once(self):
-        st = BlockStructure(3, np.eye(3), ((1, 2), (1, 1)))
-        assert st.scatter is st.scatter
+    def test_assembled_matrix_units_are_the_block_algebra_basis(self):
+        # both readers of the one table: the structure's assembly and
+        # block_algebra's basis E_ab (x) I_m / sqrt(m)
+        for blocks in ORACLE_BLOCKS:
+            n = sum(s * m for s, m in blocks)
+            st = BlockStructure(n, np.eye(n), blocks)
+            basis = block_algebra(blocks).basis
+            at = 0
+            for k, (s, m) in enumerate(blocks):
+                units = np.eye(s * s).reshape(s * s, s, s)
+                per_block = [
+                    units if i == k else np.zeros((s * s, t, t)) for i, (t, _) in enumerate(blocks)
+                ]
+                got = st.assemble(st.group(per_block)) / np.sqrt(m)
+                assert np.array_equal(got, basis[at : at + s * s])
+                at += s * s
 
     def test_structure_check_reads_the_layout(self):
         rng = np.random.default_rng(49)

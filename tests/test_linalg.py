@@ -9,7 +9,6 @@ from commutant.linalg import (
     direct_sum,
     haar_unitaries,
     haar_unitary,
-    hs_inner,
     hs_norm,
     op_norm,
     orthonormalize,
@@ -76,20 +75,10 @@ class TestOpNorm:
             as_matrix(np.ones((2, 2)), dim=3)
 
 
-class TestHSInner:
-    def test_against_direct_trace(self):
-        rng = np.random.default_rng(3)
-        X = random_matrix(rng, 4)
-        Y = random_matrix(rng, 4)
-        np.testing.assert_allclose(hs_inner(X, Y), np.trace(Y.conj().T @ X), rtol=1e-12)
-
-    def test_conjugate_symmetry_and_norm(self):
-        rng = np.random.default_rng(4)
-        X = random_matrix(rng, 3)
-        Y = random_matrix(rng, 3)
-        assert hs_inner(X, Y) == pytest.approx(np.conj(hs_inner(Y, X)))
-        assert hs_inner(X, X).real == pytest.approx(hs_norm(X) ** 2)
-        assert abs(hs_inner(X, X).imag) < 1e-12
+class TestHSNorm:
+    def test_is_the_frobenius_norm(self):
+        X = random_matrix(np.random.default_rng(4), 3)
+        assert hs_norm(X) == pytest.approx(np.linalg.norm(X))
 
 
 class TestCommutator:

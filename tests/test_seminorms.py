@@ -472,10 +472,10 @@ def test_seminorm_beats_haar_sampling_oracle():
             assert (dn.value - oracle) / dn.value <= 0.02
 
 
-def _svd_polar_phase_batch(Tt, layout, Us):
+def _svd_polar_phase_batch(Tt, st, Us):
     """Reference polar phase: a full SVD of every new commutator stack."""
     R = Us[0].shape[0]
-    Ub = layout.assemble(Us)
+    Ub = st.assemble(Us)
     UU, sv, Vh = np.linalg.svd(Ub @ Tt - Tt @ Ub)
     sigma, w, u = sv[:, 0], UU[:, :, 0], Vh[:, 0, :].conj()
     stall = np.zeros(R, dtype=int)
@@ -484,8 +484,8 @@ def _svd_polar_phase_batch(Tt, layout, Us):
         b = np.einsum("ij,rj->ri", Tt, u)
         c = np.einsum("ji,rj->ri", Tt.conj(), w)
         X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
-        new = [seminorms._polar_unitaries(Y) for Y in layout.block_traces(X)]
-        Ub_new = layout.assemble(new)
+        new = [seminorms._polar_unitaries(Y) for Y in st.block_traces(X)]
+        Ub_new = st.assemble(new)
         UU, sv, Vh = np.linalg.svd(Ub_new @ Tt - Tt @ Ub_new)
         sig_new = sv[:, 0]
         iters += 1
@@ -602,21 +602,21 @@ def test_only_the_best_restart_is_polished(monkeypatch):
 def _top_two_polished_value(T, model, cfg):
     """The ascent with its two best restarts polished, the better one kept."""
     st = model.structure
-    W, layout = st.unitary, st.scatter
+    W = st.unitary
     Tt = W.conj().T @ T @ W
     draws = []
     for restart in range(cfg.opt_restarts):
         rng = cfg.rng(205, restart)
         draws.append(
-            layout.group([
+            st.group([
                 rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
                 for s, _ in st.blocks
             ])
         )
     Us = [np.linalg.qr(np.stack(group))[0] for group in zip(*draws)]
-    sigma, Us, _, _ = seminorms._polar_phase_batch(Tt, layout, Us)
+    sigma, Us, _, _ = seminorms._polar_phase_batch(Tt, st, Us)
     return max(
-        seminorms._alternating_polish(Tt, layout, [u[i : i + 1].copy() for u in Us])[0]
+        seminorms._alternating_polish(Tt, st, [u[i : i + 1].copy() for u in Us])[0]
         for i in np.argsort(-sigma)[:2]
     )
 
@@ -736,6 +736,27 @@ def test_model_structure():
     assert subspace_contains(model.bicommutant.space, D3.space, CFG)
     assert not model.trivial
     assert commutant_model(full_matrix_algebra(3), M3, CFG).trivial
+
+
+@pytest.mark.parametrize("call", ["seminorm", "sampling"])
+def test_model_built_for_another_algebra_is_rejected(call):
+    T = np.random.default_rng(1).standard_normal((3, 3))
+    D3, M3 = diagonal_algebra(3), full_matrix_algebra(3)
+    two_blocks = block_algebra(((2, 1), (1, 1)))
+
+    def run(A, ambient, model):
+        if call == "seminorm":
+            return derivation_seminorm(T, A, ambient, CFG, model, compute_upper=False).value
+        return sampling_seminorm_bound(T, A, ambient, 50, CFG, model)
+
+    # a model of equal spans, built from other objects, is accepted as is
+    want = run(D3, M3, None)
+    assert run(D3, M3, commutant_model(diagonal_algebra(3), full_matrix_algebra(3), CFG)) == want
+    # the scalars' model would give the scalar seminorm of T
+    with pytest.raises(InvalidInputError):
+        run(D3, M3, commutant_model(scalar_algebra(3), M3, CFG))
+    with pytest.raises(InvalidInputError):
+        run(D3, two_blocks, commutant_model(D3, M3, CFG))
 
 
 # ---------------------------------------------------------------------------
