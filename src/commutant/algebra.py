@@ -50,7 +50,7 @@ from .linalg import (
 )
 
 # closure checks above this many multiply-adds (m^3 n^2 for an m-dimensional
-# algebra in M_n) are refused rather than ground through; M_16 needs 4.3e9
+# proper subspace of M_n) are refused rather than ground through
 _MAX_CLOSURE_WORK = 10**10
 # random combinations of the commuted set in the first commutant solve
 _COMMUTANT_PROBES = 3
@@ -148,9 +148,13 @@ def algebra_from_space(
     space: OperatorSubspace, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> MatrixAlgebra:
     """Wrap a multiplicatively closed subspace, detecting the structure flags."""
+    return MatrixAlgebra(space, _holds_identity(space, cfg), _adjoint_closed(space, cfg))
+
+
+def _holds_identity(space: OperatorSubspace, cfg: NumericConfig) -> bool:
+    """Whether the identity, of norm sqrt(n), lies in the span within eq_tol sqrt(n)."""
     n = space.ambient_dim
-    unital = space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
-    return MatrixAlgebra(space, unital, _adjoint_closed(space, cfg))
+    return bool(space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n))
 
 
 def _adjoint_closed(space: OperatorSubspace, cfg: NumericConfig) -> bool:
@@ -200,8 +204,7 @@ def generate_algebra(
         frontier = Q[start:]
     space = OperatorSubspace(n, Q.reshape(-1, n, n))
     selfadjoint = star or _adjoint_closed(space, cfg)
-    is_unital = unital or space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
-    return MatrixAlgebra(space, is_unital, selfadjoint)
+    return MatrixAlgebra(space, unital or _holds_identity(space, cfg), selfadjoint)
 
 
 def _extend(Q: np.ndarray, frontier: np.ndarray, G: np.ndarray, cut: float) -> np.ndarray:
@@ -448,8 +451,7 @@ def relative_commutant(
     # set), so only it is rechecked
     known = isinstance(S, MatrixAlgebra) and S.selfadjoint
     selfadjoint = ambient.selfadjoint and (known or _adjoint_closed(span, cfg))
-    unital = ambient.unital or space.residual(np.eye(n)) <= cfg.eq_tol * np.sqrt(n)
-    return MatrixAlgebra(space, unital, selfadjoint)
+    return MatrixAlgebra(space, ambient.unital or _holds_identity(space, cfg), selfadjoint)
 
 
 def double_commutant(
@@ -484,7 +486,11 @@ def is_normal(
 
 
 def verify_algebra(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
-    """Check the structural invariants of a MatrixAlgebra; report defects."""
+    """Check the structural invariants of a MatrixAlgebra; report defects.
+
+    n^2 orthonormal elements span M_n, which is closed under products, so
+    their closure defect is 0 with no product formed.
+    """
     space = A.space
     n = A.ambient_dim
     report = {
@@ -494,7 +500,7 @@ def verify_algebra(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> dic
         "adjoint_defect": 0.0,
     }
     m = space.dim
-    if m:
+    if 0 < m < n * n:
         if m**3 * n**2 > _MAX_CLOSURE_WORK:
             raise ResourceLimitError(
                 f"closure check of a {m}-dimensional algebra in M_{n} is too large"

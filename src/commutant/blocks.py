@@ -91,13 +91,8 @@ class BlockStructure:
         return self.assemble([t / self.blocks[ks[0]][1] for t, ks in zip(traces, self.members)])
 
 
-def _generic_element(space: OperatorSubspace, rng) -> np.ndarray:
-    coeff = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    return np.tensordot(coeff, space.basis, axes=1)
-
-
 def _generic_selfadjoint(space: OperatorSubspace, rng) -> np.ndarray:
-    X = _generic_element(space, rng)
+    X = space.random_element(rng)
     return X + X.conj().T
 
 
@@ -108,7 +103,9 @@ def _adapted_columns(A: MatrixAlgebra, rng):
     projections of A, and for a generic G in A, E_i* G E_j is zero exactly
     when E_i and E_j lie in different blocks.  Inside a block it is a
     nonzero multiple of a unitary, so E_j (E_j* G E_0) / sqrt(lambda_j)
-    carries E_0 onto E_j by a partial isometry of A.
+    carries E_0 onto E_j by a partial isometry of A.  H is X + X* for a
+    random element X of A (OperatorSubspace.random_element) and G is
+    another, so the draw depends on A and not on its stored basis.
     """
     vals, vecs = np.linalg.eigh(_generic_selfadjoint(A.space, rng))
     # groups spread at most 1e-8 and sit at least 1e-6 apart, relative to H
@@ -121,7 +118,7 @@ def _adapted_columns(A: MatrixAlgebra, rng):
         return None
     # a link is clearly nonzero when lambda >= 1e-10 and clearly zero when
     # its norm is at most 1e-8, relative to G; anything between is redrawn
-    M = vecs.conj().T @ _generic_element(A.space, rng) @ vecs
+    M = vecs.conj().T @ A.space.random_element(rng) @ vecs
     g_scale = max(1.0, float(np.linalg.norm(M)))
     link = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(M) ** 2, starts, 0), starts, 1))
     sizes = ends - starts

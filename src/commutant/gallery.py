@@ -149,6 +149,9 @@ def corner_traceless_report(cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
 # ---------------------------------------------------------------------------
 # truncated weighted shift with linearly ramping weights
 
+# rows and columns cut off the truncation edge before the interior norm
+_RAMP_PAD = 2
+
 
 def ramp_weighted_shift(n: int, N: int) -> np.ndarray:
     """N x N weighted shift whose weights ramp 1/n, 2/n, ... up to 1.
@@ -169,15 +172,13 @@ def ramp_weighted_shift(n: int, N: int) -> np.ndarray:
     return np.diag(weights, -1).astype(np.complex128)
 
 
-def _interior_commutator_norm(T: np.ndarray, pad: int) -> float:
+def _interior_commutator_norm(T: np.ndarray) -> float:
     C = commutator(T, T.conj().T)
-    m = T.shape[0] - pad
+    m = T.shape[0] - _RAMP_PAD
     return float(op_norm(C[:m, :m]))
 
 
-def ramp_shift_report(
-    n: int = 10, N: int = 200, pad: int = 2, cfg: NumericConfig = DEFAULT_CONFIG
-) -> dict:
+def ramp_shift_report(n: int = 10, N: int = 200, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Commutator-norm check for the ramp shift, with truncation control.
 
     The finite matrix is a corner of an operator on a one-sided sequence
@@ -190,8 +191,8 @@ def ramp_shift_report(
     """
     T = ramp_weighted_shift(n, N)
     raw = float(op_norm(commutator(T, T.conj().T)))
-    interior = _interior_commutator_norm(T, pad)
-    doubled = _interior_commutator_norm(ramp_weighted_shift(n, 2 * N), pad)
+    interior = _interior_commutator_norm(T)
+    doubled = _interior_commutator_norm(ramp_weighted_shift(n, 2 * N))
     slack = abs(doubled - interior)
     bound = 2.0 / n
     norm_T = float(op_norm(T))

@@ -104,16 +104,18 @@ class OperatorSubspace:
         """(dim, n^2) view of the basis whose rows are vec() of its elements."""
         return self.basis.reshape(self.dim, self.ambient_dim**2)
 
-    def coeffs(self, T) -> np.ndarray:
-        """Coordinates <T, B_i> of the projection of T onto this subspace."""
-        A = as_matrix(T, dim=self.ambient_dim)
-        return self.stack.conj() @ A.ravel()
-
     def project(self, T) -> np.ndarray:
         """Orthogonal projection of T onto this subspace."""
-        c = self.coeffs(T)
-        n = self.ambient_dim
-        return (self.stack.T @ c).reshape(n, n)
+        return self.projections(as_matrix(T, dim=self.ambient_dim)[None])[0]
+
+    def projections(self, mats) -> np.ndarray:
+        """Orthogonal projection of each matrix of a (k, n, n) stack onto this subspace."""
+        return self._projected(as_matrices(mats, self.ambient_dim))
+
+    def _projected(self, M: np.ndarray) -> np.ndarray:
+        """The one projection kernel, for an already validated (k, n, n) stack."""
+        S = self.stack
+        return ((M.reshape(-1, S.shape[1]) @ S.conj().T) @ S).reshape(M.shape)
 
     def residual(self, T) -> float:
         """Frobenius distance from T to this subspace."""
@@ -121,10 +123,15 @@ class OperatorSubspace:
 
     def residuals(self, mats) -> np.ndarray:
         """Frobenius distance from each matrix of a (k, n, n) stack to this subspace."""
-        n = self.ambient_dim
-        M = as_matrices(mats, n).reshape(-1, n * n)
-        S = self.stack
-        return np.linalg.norm(M - (M @ S.conj().T) @ S, axis=1)
+        M = as_matrices(mats, self.ambient_dim)
+        return np.linalg.norm((M - self._projected(M)).reshape(-1, self.ambient_dim**2), axis=1)
+
+    def random_element(self, rng: np.random.Generator) -> np.ndarray:
+        """The projection of one seeded Ginibre matrix onto this subspace.
+
+        For a given rng it depends on the span alone, not on the basis.
+        """
+        return self.project(random_matrix(rng, self.ambient_dim))
 
     def gram_defect(self) -> float:
         """Max-abs deviation of the basis Gram matrix from the identity."""

@@ -29,6 +29,12 @@ Two optimization problems live here:
   with the double commutant A'', so ||UT - TU|| <= 2 dist(T, A''): the
   ascent's witness and that distance bracket the seminorm.
 
+Seeded draws come from spans, not bases: a restart is the polar factors
+of one Ginibre matrix's block compressions (Haar unitaries whose direct
+sum does not depend on the adapted basis), and every other seeded element
+of a known span is OperatorSubspace.random_element.  Only the sampling
+oracle keeps per-block Haar draws of its own.
+
 Every report is a bracket [lower_bound, upper_bound] around its value, and
 converged means one thing throughout: the bracket is at most 1e-6 wide
 relative to max(1, ||T||).
@@ -48,6 +54,7 @@ from .linalg import (
     as_matrix,
     haar_unitaries,
     op_norm,
+    random_matrix,
     subspace_contains,
     subspace_equal,
 )
@@ -318,7 +325,7 @@ def dist_opnorm(
         val = op_norm(A)
         return _report(val, np.zeros((n, n)), val, val, 0, scale)
     stack = V.stack
-    x0 = V.coeffs(A)
+    x0 = stack.conj() @ A.ravel()
     out = _barrier_solve(A.ravel(), stack, n, x0, scale)
     if out is None:
         x, iterations, lower = x0, 0, 0.0
@@ -496,16 +503,14 @@ def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
 
     Projected-ball ascent from eight seeded starts; only meaningful when the
     algebra is not selfadjoint (otherwise the unitary search already covers
-    the extreme points).  The trials run as one (8, n, n) stack; each keeps
-    its own step size and stops on its own, so each follows the path it
-    would follow alone.
+    the extreme points).  Starts, gradient steps and clips are random
+    elements of and projections onto the span of A', not its basis.  The
+    trials run as one (8, n, n) stack; each keeps its own step size and
+    stops on its own, so each follows the path it would follow alone.
     """
-    C = model.span_commutant
+    C = model.span_commutant.space
     if C.dim == 0:
         return 0.0
-    n = C.ambient_dim
-    Bs = C.basis
-    S = C.space.stack
 
     def score(W):
         """Top singular value and pair (w, u) of each W T - T W."""
@@ -522,18 +527,13 @@ def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
             if not over.any():
                 break
             todo, U, s, Vh = todo[over], U[over], s[over], Vh[over]
-            Wc = ((U * np.minimum(s, 1.0)[:, None, :]) @ Vh).reshape(-1, n * n)
-            W[todo] = ((Wc @ S.conj().T) @ S).reshape(-1, n, n)
+            W[todo] = C.projections((U * np.minimum(s, 1.0)[:, None, :]) @ Vh)
         else:
             # rows clipped in the last round have no current norm yet
             nrm[todo] = np.linalg.svd(W[todo], compute_uv=False)[:, 0]
         return W / np.maximum(nrm, 1.0)[:, None, None]
 
-    coeffs = []
-    for trial in range(8):
-        rng = cfg.rng(207, trial)
-        coeffs.append(rng.standard_normal(C.dim) + 1j * rng.standard_normal(C.dim))
-    W = clip_to_feasible(np.tensordot(np.stack(coeffs), Bs, axes=1))
+    W = clip_to_feasible(np.stack([C.random_element(cfg.rng(207, trial)) for trial in range(8)]))
     eta = np.full(len(W), 0.5)
     # each trial keeps the singular pair that scored its current W, so a
     # gradient step needs no fresh SVD
@@ -543,13 +543,11 @@ def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
         if live.size == 0:
             break
         wl, ul = w[live], u[live]
-        K = (ul @ T.T)[:, :, None] * wl.conj()[:, None, :] - ul[:, :, None] * (
-            wl @ T.conj()
-        ).conj()[:, None, :]
-        g = np.einsum("kab,tba->tk", Bs, K)
-        Wc = clip_to_feasible(
-            W[live] + eta[live][:, None, None] * np.tensordot(np.conj(g), Bs, axes=1)
-        )
+        # the gradient of Re <w, (WT - TW) u> in W is w (Tu)* - (T* w) u*,
+        # and its projection onto the span is the ascent direction
+        Tu, Tw = ul @ T.T, wl @ T.conj()
+        grad = wl[:, :, None] * Tu.conj()[:, None, :] - Tw[:, :, None] * ul.conj()[:, None, :]
+        Wc = clip_to_feasible(W[live] + eta[live][:, None, None] * C.projections(grad))
         vc, wc, uc = score(Wc)
         up = vc > val[live] + 1e-12
         W[live[up]] = Wc[up]
@@ -603,16 +601,9 @@ def derivation_seminorm(
         return _report(0.0, np.eye(n, dtype=np.complex128), 0.0, 0.0, 0, scale, details)
     W = st.unitary
     Tt = W.conj().T @ Tm @ W
-    draws = []
-    for restart in range(cfg.opt_restarts):
-        rng = cfg.rng(205, restart)
-        draws.append(
-            st.group([
-                rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
-                for s, _ in st.blocks
-            ])
-        )
-    Us = [np.linalg.qr(np.stack(group))[0] for group in zip(*draws)]
+    # Haar restarts, the same whichever adapted basis W wedderburn returned
+    G = np.stack([random_matrix(cfg.rng(205, r), st.ambient_dim) for r in range(cfg.opt_restarts)])
+    Us = [_polar_unitaries(Y) for Y in st.block_traces(W.conj().T @ G @ W)]
     sigma, Us, iters, caps = _polar_phase_batch(Tt, st, Us)
     best = np.argsort(-sigma)[0]
     value, state, evals, polish_caps = _alternating_polish(
@@ -673,9 +664,7 @@ def _sampled_pairs(
         raise InvalidInputError(f"sample count must be >= 1, got {count}")
     model = commutant_model(A, ambient, cfg)
     for i in range(count):
-        rng = cfg.rng(key, i)
-        coeff = rng.standard_normal(ambient.dim) + 1j * rng.standard_normal(ambient.dim)
-        T = np.tensordot(coeff, ambient.basis, axes=1)
+        T = ambient.space.random_element(cfg.rng(key, i))
         T = T / np.linalg.norm(T)
         dn = derivation_seminorm(T, A, ambient, cfg, model, compute_upper=False)
         yield dn, dist_opnorm(T, A.space, cfg)

@@ -333,10 +333,7 @@ def _law_instance(cfg: NumericConfig, i: int) -> bool:
     ok = ok and v1 <= 2.0 * dist + 1e-6
     # zero characterization: bicommutant elements are seminorm-null, and a
     # seminorm above 2e-6 forces a genuinely positive distance
-    coeffs = rng.standard_normal(model.bicommutant.dim) + 1j * rng.standard_normal(
-        model.bicommutant.dim
-    )
-    za = sum(c0 * B for c0, B in zip(coeffs, model.bicommutant.basis))
+    za = model.bicommutant.space.random_element(rng)
     ok = ok and dn(za) < 1e-7 * max(1.0, op_norm(za))
     ok = ok and model.bicommutant.space.residual(za) < 1e-8
     if v1 >= 2e-6:

@@ -604,6 +604,10 @@ class TestVerifyAlgebra:
             assert verify_algebra(A, CFG)["passed"]
 
     def test_refuses_closure_checks_beyond_the_work_cap(self):
-        # M_20 is 400-dimensional: 400^3 * 20^2 multiply-adds
+        # M_19 + M_1 is 362-dimensional in M_20: 362^3 * 20^2 = 1.9e10 multiply-adds
         with pytest.raises(ResourceLimitError):
-            verify_algebra(full_matrix_algebra(20), CFG)
+            verify_algebra(block_algebra(((19, 1), (1, 1))), CFG)
+
+    def test_full_span_is_closed_without_products(self):
+        rep = verify_algebra(full_matrix_algebra(20), CFG)
+        assert rep["passed"] and rep["closure_defect"] == 0.0

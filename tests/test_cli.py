@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from commutant.algebra import generate_algebra
+from commutant.algebra import full_matrix_algebra, generate_algebra
 from commutant.cli import COMMANDS, main
 from commutant.config import StructureError
 from commutant.gallery import corner_traceless_algebra, selfcommutant_triangular
@@ -155,6 +155,26 @@ def test_size_beyond_cap_exits_two_without_traceback(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+
+def test_gen_star_of_generic_matrices_fills_and_checks_m18(capsys, tmp_path):
+    # two generic 18 x 18 matrices *-generate all 324 dimensions of M_18
+    rng = np.random.default_rng(18)
+    gens = write_json(tmp_path / "g18.json", [
+        matrix_to_json(rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18)))
+        for _ in range(2)
+    ])
+    code, out = run_cli(capsys, "gen", "--generators", gens, "--star")
+    assert code == 0
+    assert len(out["result"]["algebra"]["basis"]) == 324
+    assert out["result"]["check"]["passed"] is True
+    assert out["result"]["check"]["closure_defect"] == 0.0
+
+
+def test_center_of_full_algebra_read_from_json(capsys, tmp_path):
+    alg = write_json(tmp_path / "m18.json", algebra_to_json(full_matrix_algebra(18)))
+    code, out = run_cli(capsys, "center", "--algebra", alg)
+    assert code == 0 and out["result"]["dim"] == 1
 
 
 @pytest.mark.parametrize("command", ["center", "normal", "dn"])

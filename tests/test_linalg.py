@@ -162,6 +162,32 @@ class TestOrthonormalize:
         assert space.dim == 0
 
 
+class TestProjections:
+    def test_batched_projections_match_project_row_by_row(self):
+        rng = np.random.default_rng(15)
+        space = orthonormalize([random_matrix(rng, 4) for _ in range(5)], CFG)
+        mats = np.stack([random_matrix(rng, 4) for _ in range(6)])
+        P = space.projections(mats)
+        assert P.shape == mats.shape
+        for M, row in zip(mats, P):
+            np.testing.assert_allclose(row, space.project(M), atol=1e-14)
+        np.testing.assert_allclose(
+            space.residuals(mats), np.linalg.norm((mats - P).reshape(6, -1), axis=1), atol=1e-14
+        )
+
+    def test_random_element_lies_in_its_span_and_ignores_the_basis(self):
+        rng = np.random.default_rng(16)
+        space = orthonormalize([random_matrix(rng, 4) for _ in range(5)], CFG)
+        # another orthonormal basis of the same span: a unitary mix of the first
+        mixed = OperatorSubspace(4, np.tensordot(haar_unitary(rng, 5), space.basis, axes=1))
+        assert mixed.gram_defect() < 1e-12
+        X = space.random_element(np.random.default_rng(17))
+        Y = mixed.random_element(np.random.default_rng(17))
+        assert hs_norm(X) > 0.1
+        assert space.residual(X) < 1e-12 * hs_norm(X)
+        np.testing.assert_allclose(X, Y, atol=1e-12 * hs_norm(X))
+
+
 class TestSubspacePredicates:
     def test_containment_of_diagonal_in_upper_triangular(self):
         diag = orthonormalize([np.diag([1.0, 0]), np.diag([0, 1.0])], CFG)

@@ -26,9 +26,11 @@ from commutant.algebra import (
 )
 from commutant.config import DEFAULT_CONFIG, InvalidInputError
 from commutant.linalg import (
+    OperatorSubspace,
     haar_unitary,
     op_norm,
     orthonormalize,
+    random_matrix,
     subspace_contains,
 )
 from commutant.seminorms import (
@@ -604,16 +606,8 @@ def _top_two_polished_value(T, model, cfg):
     st = model.structure
     W = st.unitary
     Tt = W.conj().T @ T @ W
-    draws = []
-    for restart in range(cfg.opt_restarts):
-        rng = cfg.rng(205, restart)
-        draws.append(
-            st.group([
-                rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
-                for s, _ in st.blocks
-            ])
-        )
-    Us = [np.linalg.qr(np.stack(group))[0] for group in zip(*draws)]
+    G = np.stack([random_matrix(cfg.rng(205, r), len(T)) for r in range(cfg.opt_restarts)])
+    Us = [seminorms._polar_unitaries(Y) for Y in st.block_traces(W.conj().T @ G @ W)]
     sigma, Us, _, _ = seminorms._polar_phase_batch(Tt, st, Us)
     return max(
         seminorms._alternating_polish(Tt, st, [u[i : i + 1].copy() for u in Us])[0]
@@ -690,9 +684,7 @@ def _contraction_sup_one_trial_at_a_time(T, model, cfg):
 
     best = 0.0
     for trial in range(8):
-        rng = cfg.rng(207, trial)
-        coeff = rng.standard_normal(C.dim) + 1j * rng.standard_normal(C.dim)
-        W = clip(np.tensordot(coeff, Bs, axes=1))
+        W = clip(C.space.random_element(cfg.rng(207, trial)))
         val, eta = op_norm(W @ T - T @ W), 0.5
         for _ in range(60):
             if eta < 1e-6:
@@ -721,6 +713,24 @@ def test_contraction_sup_matches_one_trial_at_a_time(n):
         T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         got = seminorms._contraction_sup(T, model, CFG)
         assert abs(got - _contraction_sup_one_trial_at_a_time(T, model, CFG)) < 1e-10 * op_norm(T)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reports_depend_on_the_span_not_the_basis(n):
+    rng = np.random.default_rng(50 + n)
+    M = full_matrix_algebra(n)
+    T = random_matrix(rng, n)
+    poly = generate_algebra([random_matrix(rng, n)], CFG)
+    blocks = block_algebra(((2, 1), (1, n - 2)), haar_unitary(rng, n))
+    for A in (poly, blocks):
+        # a Haar mix of the orthonormal basis spans the same algebra
+        mixed = np.tensordot(haar_unitary(rng, A.dim), A.basis, axes=1)
+        rebased = MatrixAlgebra(OperatorSubspace(n, mixed), A.unital, A.selfadjoint)
+        want, got = (derivation_seminorm(T, B, M, CFG, compute_upper=False) for B in (A, rebased))
+        assert abs(got.value - want.value) <= 1e-12 * max(1.0, want.value)
+        if not A.selfadjoint:
+            sup = want.details["contraction_sup"]
+            assert abs(got.details["contraction_sup"] - sup) <= 1e-12 * max(1.0, sup)
 
 
 def test_model_requires_containment():
