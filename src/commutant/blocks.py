@@ -20,6 +20,7 @@ projection and needs neither a commutant nor a block decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,9 @@ class BlockStructure:
     positions[g][k] is that block's block_layout table: [a, b, j] is the
     flat position of entry (a, b) on multiplicity copy j.  So u tensor I_m
     lands in place with one fancy-index assignment and a block partial
-    trace is one gather.
+    trace is one gather.  directions spans the Hermitian part of the block
+    algebra modulo the identity, the tangent directions of the seminorm
+    ascent's Newton steps.
     """
 
     ambient_dim: int
@@ -89,6 +92,37 @@ class BlockStructure:
         """(R, n, n) X with each block's part replaced by its multiplicity average."""
         traces = self.block_traces(X)
         return self.assemble([t / self.blocks[ks[0]][1] for t, ks in zip(traces, self.members)])
+
+    @cached_property
+    def directions(self) -> list:
+        """Hermitian directions of the block algebra, per group, as (p, K, s, s) arrays.
+
+        p = sum s^2 - 1.  Block by block, group by group, the units
+        (E_ab + E_ba)/sqrt 2 and i (E_ab - E_ba)/sqrt 2 for a < b, then E_aa.
+        The very last E_aa is left out: the rest span a complement of the
+        identity, the one direction along which exp(i t H) moves a unitary
+        only by a global phase.  Built on first use.
+        """
+        p, off, out = self.algebra_dim, 0, []
+        for ks in self.members:
+            s = self.blocks[ks[0]][0]
+            a, b = np.triu_indices(s, 1)
+            r, q = np.arange(a.size), a.size
+            unit = np.zeros((s * s, s, s), dtype=np.complex128)
+            unit[r, a, b] = unit[r, b, a] = np.sqrt(0.5)
+            unit[q + r, a, b], unit[q + r, b, a] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+            unit[2 * q + np.arange(s), np.arange(s), np.arange(s)] = 1.0
+            D = np.zeros((p, len(ks), s, s), dtype=np.complex128)
+            for k in range(len(ks)):
+                D[off : off + s * s, k] = unit
+                off += s * s
+            out.append(D[:-1])
+        return out
+
+    @cached_property
+    def direction_matrices(self) -> np.ndarray:
+        """The directions as one (p, n, n) stack of n x n matrices."""
+        return self.assemble(self.directions)
 
 
 def _generic_selfadjoint(space: OperatorSubspace, rng) -> np.ndarray:

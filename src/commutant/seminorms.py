@@ -5,24 +5,33 @@ Two optimization problems live here:
 * dist_opnorm minimizes ||T - a|| over a in a subspace.  That is convex in
   the coefficients, and its epigraph t I >= [[0, M], [M*, 0]] is a linear
   matrix inequality, so one log-det barrier path from the projection of T
-  solves it.  The barrier's final inverse also yields the certificate: its
+  solves it; each stage of the path ends once its Newton decrement is
+  small.  The barrier's final inverse also yields the certificate: its
   off-diagonal block, projected off the subspace and scaled to unit
   nuclear norm, pairs with T to give a lower bound on the distance.
 
 * the derivation seminorm sup ||UT - TU|| over unitaries U commuting with
   an algebra.  The commutant's unitary group is a product of block unitary
-  groups in its adapted basis, so the ascent runs there: monotone polar
-  re-alignment steps (each step maximizes the current singular-pair
-  alignment exactly) on all seeded restarts at once, then alternating
-  tangent exp(i t H) and polar steps that polish the restart ranked best.
+  groups in its adapted basis, so the ascent runs there, on all seeded
+  restarts at once: monotone polar re-alignment steps (each maximizes the
+  current singular-pair alignment exactly) while they gain much, then
+  Riemannian Newton steps U -> U exp(i sum h_k H_k) over a basis H_k of
+  the commutant's Hermitian part (Absil, Mahony & Sepulchre, Optimization
+  Algorithms on Matrix Manifolds, 2008), whose gradient and Hessian come
+  from one SVD of the commutators by perturbation of the top singular
+  value.  A restart whose Newton step is not valid or does not rise takes
+  a polar step instead.  Only where the best restart is not a Newton
+  maximum with a simple top singular value is it polished, by alternating
+  tangent exp(i t H) and polar steps.
   The blocks of one shape (s, m) are factorized together: their unitaries
   are held as one stacked array, so each polar step is one batched s x s
-  SVD and each tangent step one batched eigh per block shape (closed forms
-  for s = 1), and assembly writes into precomputed flat positions.
-  A polar step does not decompose the n x n commutators it produces: two
-  power steps from the previous left singular vector track their top
-  singular pair, which keeps the ascent monotone, and each polar phase
-  ends with one batched singular-value call for the exact norms.
+  SVD and each tangent or Newton step one batched eigh per block shape
+  (closed forms for s = 1), and assembly writes into precomputed flat
+  positions.  A polar step before the Newton steps does not decompose the
+  n x n commutators it produces: two power steps from the previous left
+  singular vector track their top singular pair, which keeps the ascent
+  monotone, and each phase ends with one batched singular-value call for
+  the exact norms.
   The sup over contractions is attained on unitaries because the objective
   is convex and the unitaries are the extreme points of the unit ball of a
   finite-dimensional C*-algebra.  Every unitary of the commutant commutes
@@ -60,8 +69,11 @@ from .linalg import (
 )
 
 _GAP_TOL = 1e-6
+# a barrier stage ends once its Newton decrement lambda^2 is at most this
+# (Boyd & Vandenberghe, Convex Optimization, sections 9.5 and 11.3)
+_CENTRED = 0.1
 _ZERO_DN = 1e-8
-# polar steps per ascent phase, and the first tangent step length
+# rounds (polar or Newton steps) per ascent phase, and the first tangent step length
 _MAX_ITERS = 400
 _STEP0 = 0.5
 # tangent steps per polish round, and tangent-polar rounds per polish
@@ -69,6 +81,18 @@ _TANGENT_ROUNDS, _POLISH_CYCLES = 40, 30
 # power steps per polar step that track the commutator's top singular pair;
 # with one, a polar phase of the benchmark pool ran into _MAX_ITERS
 _POWER_STEPS = 2
+# a restart switches from polar to Newton steps once a polar step gains less
+# than _NEWTON_FROM max(1, ||T||); at 1e-2 some restarts of a seeded sweep
+# ended at other local maxima than the polar ascent's
+_NEWTON_FROM = 1e-3
+# Newton steps need a simple top singular value, (s_1 - s_2) > _SIMPLE_GAP s_1
+# (at the optima of the benchmark pool the relative gap was at least 0.075),
+# and at most _NEWTON_MAX_DIRECTIONS directions: a step costs O(p^3) per
+# restart against O(n^3) for a polar step, and for the scalars the whole
+# ascent took 0.9 times the polar-only time at n = 8 (p = 63) but 1.4
+# times at n = 9 (p = 80)
+_SIMPLE_GAP = 1e-3
+_NEWTON_MAX_DIRECTIONS = 63
 
 
 @dataclass(frozen=True)
@@ -175,7 +199,9 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
 
     The epigraph form t I >= [[0, M], [M*, 0]] is a linear matrix
     inequality, so the standard log-det barrier applies; Newton systems are
-    tiny.  Returns (x, newton_steps, P12) where P12 is the off-diagonal
+    tiny.  Each stage of the path (one theta) takes at most four damped
+    Newton steps and ends early once the Newton decrement is at most
+    _CENTRED.  Returns (x, newton_steps, P12) where P12 is the off-diagonal
     block of the final barrier inverse, an almost exactly feasible dual
     candidate.
     """
@@ -221,7 +247,8 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
     # certified gap over n = 2..10 grew tenfold, to 4e-7 * scale.
     theta_min = 1e-10 * scale
 
-    def newton_system(F, theta):
+    def factors(F):
+        """F's inverse P and the traces tr(P dF_a) and Re tr(P dF_a P dF_b)."""
         try:
             P = np.linalg.inv(F)
         except np.linalg.LinAlgError:
@@ -229,28 +256,43 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
         P = (P + P.conj().T) / 2.0
         # tr(P dF_a) and tr(P dF_a P dF_b) as matrix products
         traces = np.real(dF_rows @ P.T.ravel())
+        Q = P @ dFs
+        return P, traces, np.real(Q.reshape(m, -1) @ np.swapaxes(Q, 1, 2).reshape(m, -1).T)
+
+    def newton_step(fac, theta):
+        """Gradient and Newton step of y[0] + theta * (-log det F) at F's point.
+
+        The inverse and the traces do not depend on theta, so a point's
+        factors serve every stage that starts there.
+        """
+        _, traces, gram = fac
         grad = -theta * traces
         grad[0] += 1.0
-        Q = P @ dFs
-        H = theta * np.real(Q.reshape(m, -1) @ np.swapaxes(Q, 1, 2).reshape(m, -1).T)
+        H = theta * gram
         H.flat[:: m + 1] += 1e-13 * max(1.0, theta)
         try:
-            delta = np.linalg.solve(H, -grad)
+            return grad, np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
             return None
-        return P, grad, delta
 
     # F and its -log det belong to the current y; an accepted line-search
-    # trial hands its own on, so each point is factorized once
+    # trial hands its own on, so each point is factorized once, and its
+    # factors are computed on first use
     F = F_of(y)
     ld = neg_logdet(F)
+    fac = None
     while theta > theta_min:
         theta = max(theta * 0.15, theta_min)
         for _ in range(4):
-            sys = newton_system(F, theta)
+            fac = fac or factors(F)
+            sys = fac and newton_step(fac, theta)
             if sys is None:
                 return None
-            P, grad, delta = sys
+            grad, delta = sys
+            # the stage ends once the Newton decrement of the barrier
+            # objective over theta, lambda^2 = -grad.delta / theta, is small
+            if -float(grad @ delta) / theta <= _CENTRED:
+                break
             g0 = y[0] + theta * ld
             alpha = 1.0
             improved = False
@@ -259,7 +301,7 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
                 F_try = F_of(y_try)
                 ld_try = neg_logdet(F_try)
                 if ld_try is not None and y_try[0] + theta * ld_try < g0 + 1e-18:
-                    y, F, ld = y_try, F_try, ld_try
+                    y, F, ld, fac = y_try, F_try, ld_try, None
                     improved = True
                     break
                 alpha /= 2.0
@@ -274,14 +316,15 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
     best_P = None
     best_gx = np.inf
     for _ in range(14):
-        sys = newton_system(F, theta_min)
+        fac = fac or factors(F)
+        sys = fac and newton_step(fac, theta_min)
         if sys is None:
             break
-        P, grad, delta = sys
+        grad, delta = sys
         gx = float(np.linalg.norm(grad[1:]))
         if gx < best_gx:
             best_gx = gx
-            best_P = P
+            best_P = fac[0]
         if gx <= 1e-9:
             break
         alpha = 1.0
@@ -290,7 +333,7 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
             y_try = y + alpha * delta
             F_try = F_of(y_try)
             if neg_logdet(F_try) is not None:
-                y, F = y_try, F_try
+                y, F, fac = y_try, F_try, None
                 moved = True
                 break
             alpha /= 2.0
@@ -384,56 +427,221 @@ def _power_steps(F: np.ndarray, w: np.ndarray):
     return sigma, w, u
 
 
-def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
-    """Monotone polar ascent run on all restarts at once.
+def _ascent_derivatives(Tt, D, Ub, svd):
+    """Gradient and Hessian of h -> ||F(U exp(i sum_k h_k D_k))|| at h = 0.
 
-    Each step re-aligns every restart's block unitaries with its current
-    singular pair (w, u), and a step is kept only where it does not
-    decrease that restart's objective, so every row ascends monotonically.
-    The pair is not recomputed by an SVD of the new commutator F'; power
-    steps started from w track it, and the ascent stays monotone: the
-    polar step maximizes Re <w, F(U) u> over U exactly, so
-    Re <w, F' u> >= sigma, and a power step u' = F'* w / ||F'* w||,
+    F(U) = U Tt - Tt U for the (R, n, n) unitaries Ub, svd = (Wl, s, Vh)
+    is the SVD of the (R, n, n) stack F(U), and D holds the (p, n, n)
+    Hermitian directions.  These are the first and second order
+    perturbation terms of the top eigenvalue s_1 of [[0, F], [F*, 0]],
+    whose eigenvectors are (w_j, +-u_j) / sqrt 2 with eigenvalues +-s_j;
+    they hold where s_1 is simple.  With E_k = i (U D_k Tt - Tt U D_k)
+    the first derivative of F along D_k:
+
+        g_k  = Re w_1* E_k u_1
+        H_kl = -Re w_1* (U S_kl Tt - Tt U S_kl) u_1
+               + sum_{j >= 2} Re c+_jk conj(c+_jl) / (2 (s_1 - s_j))
+               + sum_{j >= 1} Re c-_jk conj(c-_jl) / (2 (s_1 + s_j))
+
+    with S_kl = (D_k D_l + D_l D_k) / 2 and
+    c+-_jk = w_j* E_k u_1 +- conj(w_1* E_k u_j).  Returns g (R, p) and
+    H (R, p, p).
+    """
+    Wl, s, Vh = svd
+    R, n = s.shape
+    w1, u1 = Wl[:, :, 0], Vh[:, 0, :].conj()
+    TU = Tt @ Ub
+    # D_k applied to U* w_1, Tt u_1, U* Tt* w_1 and u_1: (R, p, n) rows each
+    vecs = np.stack(
+        [(w1[:, None, :] @ Ub.conj())[:, 0], u1 @ Tt.T, (w1[:, None, :] @ TU.conj())[:, 0], u1],
+        axis=1,
+    )
+    Da, Db, Dc, Dd = np.swapaxes((vecs @ D.reshape(-1, n).T).reshape(R, 4, -1, n), 0, 1)
+    # rows E_k u_1 and E_k* w_1
+    Eu = 1j * (Db @ np.swapaxes(Ub, 1, 2) - Dd @ np.swapaxes(TU, 1, 2))
+    Ew = -1j * (Da @ Tt.conj() - Dc)
+    g = np.real(Eu @ w1.conj()[:, :, None])[:, :, 0]
+    Wu, Vw = Eu @ Wl.conj(), Ew @ np.swapaxes(Vh, 1, 2)
+    cp, cm = (Wu + Vw)[:, :, 1:], Wu - Vw
+    # the two sums are symmetric already, so one product and one
+    # symmetrization give all three terms; Re(a b) = Re a Re b - Im a Im b
+    # makes it one real product
+    wp, wm = 0.5 / (s[:, :1] - s[:, 1:]), 0.5 / (s[:, :1] + s)
+    left = np.concatenate([cp * wp[:, None], cm * wm[:, None], -Da.conj(), Dc.conj()], axis=2)
+    right = np.concatenate([cp.conj(), cm.conj(), Db, Dd], axis=2)
+    H = np.concatenate([left.real, -left.imag], axis=2) @ np.swapaxes(
+        np.concatenate([right.real, right.imag], axis=2), 1, 2
+    )
+    return g, 0.5 * (H + np.swapaxes(H, 1, 2))
+
+
+def _cholesky_ok(M: np.ndarray) -> np.ndarray:
+    """Which matrices of an (R, p, p) Hermitian stack have a Cholesky factor."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_cholesky_ok(A[None]) for A in M])
+    return np.ones(len(M), dtype=bool)
+
+
+def _newton_steps(Tt, st: BlockStructure, Us, svd, damp=1.0):
+    """Riemannian Newton steps U -> U exp(i sum_k h_k D_k) on the commutant's unitaries.
+
+    svd is the SVD of the (R, n, n) commutators of the per-group unitaries
+    Us, and the D_k are st.directions.  h solves (mu - H) h = g
+    (_ascent_derivatives) with the Levenberg-Marquardt shift
+    mu = damp ||g||: it keeps the step short where H is only semidefinite,
+    as at the scalars' maxima, which are not isolated for n >= 4, and a
+    larger damp (one per row) turns the step toward a short gradient
+    step.  A row's step is valid only where its top singular value is
+    simple ((s_1 - s_2) > _SIMPLE_GAP s_1) and mu - H is positive definite
+    (its Cholesky factorization exists); elsewhere h is 0.  Returns
+    (candidate Us, valid, predicted gain g.h / 2).
+    """
+    s = svd[1]
+    R, p = len(s), st.algebra_dim - 1
+    h, gain = np.zeros((R, p)), np.zeros(R)
+    ok = (s[:, 0] - s[:, 1] > _SIMPLE_GAP * s[:, 0]) & (p <= _NEWTON_MAX_DIRECTIONS)
+    rows = np.flatnonzero(ok)
+    if rows.size:
+        D = st.direction_matrices
+        Ub = st.assemble([u[rows] for u in Us])
+        g, H = _ascent_derivatives(Tt, D, Ub, [x[rows] for x in svd])
+        mu = np.linalg.norm(g, axis=1) * np.broadcast_to(damp, R)[rows]
+        shift = mu + 1e-13 * np.maximum(1.0, s[rows, 0])
+        H -= shift[:, None, None] * np.eye(p)
+        nd = _cholesky_ok(-H)
+        ok[rows[~nd]] = False
+        rows, g = rows[nd], g[nd]
+        h[rows] = np.linalg.solve(-H[nd], g[:, :, None])[:, :, 0]
+        gain[rows] = 0.5 * np.sum(g * h[rows], axis=1)
+    if not ok.any():
+        return [u.copy() for u in Us], ok, gain
+    steps = [(h @ d.reshape(p, -1)).reshape((R,) + d.shape[1:]) for d in st.directions]
+    return [u @ _expi_factory(x)(1.0) for u, x in zip(Us, steps)], ok, gain
+
+
+def _polar_steps(Tt, st: BlockStructure, w, u):
+    """Per-group unitaries maximizing Re <w, F(U) u> for (R, n) singular pairs (w, u)."""
+    b, c = u @ Tt.T, w @ Tt.conj()
+    X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
+    return [_polar_unitaries(Y) for Y in st.block_traces(X)]
+
+
+def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
+    """Monotone ascent run on all restarts at once: polar steps, then Newton steps.
+
+    A polar step re-aligns a restart's block unitaries with its current
+    singular pair (w, u): it maximizes Re <w, F(U) u> over U exactly, so
+    Re <w, F' u> >= sigma for the new commutator F'.  While a restart
+    gains at least _NEWTON_FROM max(1, ||T||) per step, the pair is not
+    recomputed by an SVD of F'; power steps started from w track it, and
+    the ascent stays monotone: u' = F'* w / ||F'* w||,
     w' = F' u' / ||F' u'|| gives sigma' = ||F' u'|| >= ||F'* w|| >=
     Re <w, F' u> >= sigma (a second step raises it again the same way).
-    So the tracked sigma is always Re <w, F u> <= ||F||, and the keep and
-    stall rule compares these lower bounds of the norm.  Where F'* w = 0
-    (zero commutators) sigma' is 0 and the previous pair stays.  The phase
-    ends with one batched singular-value call and returns the exact norms
+    Where F'* w = 0 (zero commutators) sigma' is 0 and the previous pair
+    stays.
+
+    Alternating maximization converges only linearly, so once a restart
+    gains less than that it finishes with Riemannian Newton steps
+    (_newton_steps) from the exact SVD of its commutator, each kept only
+    where the exact norm rises.  Where the Newton step is not valid or
+    does not rise, the restart takes a polar step from its exact pair
+    instead, kept where it does not decrease the norm.  Every restart
+    stops on its own once two steps in a row gain at most
+    1e-13 max(1, sigma), or once a valid Newton step predicts a gain
+    within that tolerance.  A round is one step of every running restart,
+    Newton or polar, and at most _MAX_ITERS rounds run.  The phase ends
+    with one batched singular-value call and returns the exact norms
     ||F||, so restarts are ranked by exact values.  Us holds one
     (R, K, s, s) array per block shape and is updated in place.  Returns
-    (norms, Us, iterations, capped), where capped says the phase stopped
-    at _MAX_ITERS with a row still gaining.
+    (norms, Us, rounds, capped), where capped says the phase stopped at
+    _MAX_ITERS with a restart still gaining.
     """
 
     def commutators(Us):
         Ub = st.assemble(Us)
         return Ub @ Tt - Tt @ Ub
 
+    def stalls(rows, old, new):
+        gained = new > old + 1e-13 * np.maximum(1.0, old)
+        stall[rows[gained]] = 0
+        stall[rows[~gained]] += 1
+
+    # with too many directions for Newton steps the polar steps run to the end
+    newton_ok = st.algebra_dim - 1 <= _NEWTON_MAX_DIRECTIONS
+    switch = _NEWTON_FROM * max(1.0, op_norm(Tt)) if newton_ok else -np.inf
     R = Us[0].shape[0]
-    UU, sv, Vh = np.linalg.svd(commutators(Us))
-    sigma = sv[:, 0]
-    w = UU[:, :, 0]
+    Wl, sv, Vh = np.linalg.svd(commutators(Us))
+    sigma = sv[:, 0].copy()
+    w = Wl[:, :, 0].copy()
     u = Vh[:, 0, :].conj()
     stall = np.zeros(R, dtype=int)
+    # rows finishing by Newton steps; their (Wl, sv, Vh) rows are exact
+    newton = np.zeros(R, dtype=bool)
+    retry = np.zeros(R, dtype=bool)
+    damp = np.ones(R)
     iters = 0
     while iters < _MAX_ITERS and (stall < 2).any():
-        b = np.einsum("ij,rj->ri", Tt, u)
-        c = np.einsum("ji,rj->ri", Tt.conj(), w)
-        X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
-        new = [_polar_unitaries(Y) for Y in st.block_traces(X)]
-        sig_new, w_new, u_new = _power_steps(commutators(new), w)
         iters += 1
-        gained = sig_new > sigma + 1e-13 * np.maximum(1.0, sigma)
-        keep = sig_new >= sigma
-        stall[gained] = 0
-        stall[~gained] += 1
-        for old, nw in zip(Us, new):
-            old[keep] = nw[keep]
-        sigma = np.where(keep, sig_new, sigma)
-        moved = keep & (sig_new > 0)
-        w[moved] = w_new[moved]
-        u[moved] = u_new[moved]
+        live = stall < 2
+        # Newton rows take a Newton step where it is valid and their last
+        # one did not fall, and a polar step from their exact pair otherwise
+        rows = np.flatnonzero(live & newton)
+        polar = rows[retry[rows]]
+        rows = rows[~retry[rows]]
+        cand = []
+        if rows.size:
+            svd = (Wl[rows], sv[rows], Vh[rows])
+            stepped, ok, gain = _newton_steps(Tt, st, [x[rows] for x in Us], svd, damp[rows])
+            # a valid step that predicts a gain within the stall tolerance
+            # (its Newton decrement) leaves nothing to gain: the row is done
+            done = ok & (gain <= 1e-13 * np.maximum(1.0, sigma[rows]))
+            stall[rows[done]] = 2
+            damp[rows[~ok]] = np.minimum(damp[rows[~ok]] * 10.0, 1e8)
+            polar = np.concatenate([polar, rows[~ok]])
+            go = ok & ~done
+            rows, cand = rows[go], [x[go] for x in stepped]
+        if polar.size:
+            pol = _polar_steps(Tt, st, w[polar], u[polar])
+            cand = [np.concatenate([c, q]) for c, q in zip(cand, pol)] if rows.size else pol
+        k, rows = rows.size, np.concatenate([rows, polar])
+        if rows.size:
+            old = sigma[rows]
+            W2, s2, V2 = np.linalg.svd(commutators(cand))
+            keep = s2[:, 0] >= old
+            # Levenberg-Marquardt damping: tenfold up after an invalid or a
+            # falling Newton step, tenfold down to 1 after a rising one
+            nw = rows[:k]
+            d = damp[nw]
+            damp[nw] = np.where(keep[:k], np.maximum(d / 10.0, 1.0), np.minimum(d * 10.0, 1e8))
+            retry[rows] = np.arange(rows.size) < k
+            retry[rows[keep]] = False
+            stalls(rows, old, np.where(keep, s2[:, 0], old))
+            up = rows[keep]
+            for x, c in zip(Us, cand):
+                x[up] = c[keep]
+            Wl[up], sv[up], Vh[up] = W2[keep], s2[keep], V2[keep]
+            sigma[up], w[up], u[up] = s2[keep, 0], W2[keep, :, 0], V2[keep, 0, :].conj()
+        rows = np.flatnonzero(live & ~newton)
+        if rows.size:
+            new = _polar_steps(Tt, st, w[rows], u[rows])
+            sig_new, w_new, u_new = _power_steps(commutators(new), w[rows])
+            old = sigma[rows]
+            keep = sig_new >= old
+            stalls(rows, old, sig_new)
+            for x, q in zip(Us, new):
+                x[rows[keep]] = q[keep]
+            sigma[rows[keep]] = sig_new[keep]
+            moved = keep & (sig_new > 0)
+            w[rows[moved]], u[rows[moved]] = w_new[moved], u_new[moved]
+            slow = rows[(sig_new - old < switch) & (stall[rows] < 2)]
+            if slow.size:
+                Wl[slow], sv[slow], Vh[slow] = np.linalg.svd(commutators([x[slow] for x in Us]))
+                sigma[slow], w[slow], u[slow] = sv[slow, 0], Wl[slow, :, 0], Vh[slow, 0, :].conj()
+                newton[slow] = True
     norms = np.linalg.svd(commutators(Us), compute_uv=False)[:, 0]
     return norms, Us, iters, bool((stall < 2).any())
 
@@ -496,6 +704,22 @@ def _alternating_polish(Tt, st: BlockStructure, Us):
             break
         value = max(value, new)
     return value, Us, evals, caps
+
+
+def _newton_converged(Tt, st: BlockStructure, Us) -> bool:
+    """Whether a one-restart state is a maximum that polishing cannot raise.
+
+    That is where its top singular value is simple, its Newton step is
+    valid (_newton_steps) and that step predicts a gain of at most
+    1e-13 max(1, sigma), the stall tolerance: the gradient vanishes and
+    the Hessian is negative semidefinite there, so the subgradient steps
+    of _alternating_polish, which break ties between near-equal top
+    singular values, have none to break.
+    """
+    Ub = st.assemble(Us)
+    svd = np.linalg.svd(Ub @ Tt - Tt @ Ub)
+    _, ok, gain = _newton_steps(Tt, st, Us, svd)
+    return bool(ok[0] and gain[0] <= 1e-13 * max(1.0, svd[1][0, 0]))
 
 
 def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
@@ -582,11 +806,15 @@ def derivation_seminorm(
     distance, or with compute_upper=False the cheaper 2 ||T - P T|| for
     the orthogonal projection P onto A''.  converged means the bracket
     closed to 1e-6 relative to max(1, ||T||).  The restarts ascend
-    together by polar steps, and only the one ranked best is polished.
-    As diagnostics only, details["restart_consensus"] counts how many of
-    the R restart values and the polished value reached the final value,
-    out of R + 1, and details["polar_cap_hits"] the polar phases that
-    stopped at their iteration cap with a restart still gaining.  A model
+    together by polar steps and then Newton steps (_polar_phase_batch),
+    and the one ranked best is polished unless it is a Newton maximum
+    already (_newton_converged).  iterations counts the rounds of those
+    steps and the polish's evaluations.  As diagnostics only,
+    details["restart_consensus"] counts how many of the R restart values
+    and the final value (the polished one, or the best restart's again)
+    reached the final value, out of R + 1, and details["polar_cap_hits"]
+    the ascent phases that stopped at their round cap with a restart
+    still gaining.  A model
     passed in must span A and ambient, or InvalidInputError is raised.
     """
     model = _model_for(A, ambient, cfg, model)
@@ -606,9 +834,11 @@ def derivation_seminorm(
     Us = [_polar_unitaries(Y) for Y in st.block_traces(W.conj().T @ G @ W)]
     sigma, Us, iters, caps = _polar_phase_batch(Tt, st, Us)
     best = np.argsort(-sigma)[0]
-    value, state, evals, polish_caps = _alternating_polish(
-        Tt, st, [u[best : best + 1].copy() for u in Us]
-    )
+    state = [u[best : best + 1].copy() for u in Us]
+    if _newton_converged(Tt, st, state):
+        value, evals, polish_caps = float(sigma[best]), 0, 0
+    else:
+        value, state, evals, polish_caps = _alternating_polish(Tt, st, state)
     votes = np.append(sigma, value)
     details["restart_consensus"] = int(np.sum(value - votes <= _GAP_TOL * scale))
     details["polar_cap_hits"] = int(caps + polish_caps)

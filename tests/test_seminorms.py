@@ -581,10 +581,18 @@ def test_polar_cap_hits_count_phases_stopped_at_the_cap(monkeypatch):
     assert rep.details["polar_cap_hits"] == sum(phases)
 
 
+def _no_newton(Tt, st, Us, svd, damp=1.0):
+    """A _newton_steps stand-in whose every step is invalid."""
+    R = len(svd[1])
+    return [u.copy() for u in Us], np.zeros(R, dtype=bool), np.zeros(R)
+
+
 def test_only_the_best_restart_is_polished(monkeypatch):
+    # at most the best restart is polished, and not where its Newton finish
+    # converged; with every Newton step failing it always is
     rng = np.random.default_rng(34)
-    T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     D4, M4 = diagonal_algebra(4), full_matrix_algebra(4)
+    model = commutant_model(D4, M4, CFG)
     polished = []
     real = seminorms._alternating_polish
 
@@ -593,21 +601,165 @@ def test_only_the_best_restart_is_polished(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(seminorms, "_alternating_polish", counted)
-    rep = derivation_seminorm(T, D4, M4, CFG, compute_upper=False)
-    assert len(polished) == 1
-    assert 1 <= rep.details["restart_consensus"] <= CFG.opt_restarts + 1
+    for forced in (False, True):
+        for _ in range(4):
+            T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            polished.clear()
+            with monkeypatch.context() as m:
+                if forced:
+                    m.setattr(seminorms, "_newton_steps", _no_newton)
+                rep = derivation_seminorm(T, D4, M4, CFG, model, compute_upper=False)
+            assert len(polished) == 1 if forced else len(polished) <= 1
+            assert 1 <= rep.details["restart_consensus"] <= CFG.opt_restarts + 1
     # a trivial commutant runs no ascent at all
+    polished.clear()
     derivation_seminorm(T, full_matrix_algebra(4), M4, CFG, compute_upper=False)
-    assert len(polished) == 1
+    assert not polished
+
+
+def _expi(H, t):
+    vals, vecs = np.linalg.eigh(H)
+    return (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
+
+
+def test_ascent_derivatives_match_central_differences():
+    # g and H of t -> ||F(U exp(i t X))|| at random block unitaries U, with
+    # X each direction D_k and random pairs D_k + D_l: the first and second
+    # central differences of the exact norm
+    rng = np.random.default_rng(36)
+    n, t = 5, 3e-4
+    algebras = _sweep_algebras(n, rng)
+    for kind in ("scalars", "masa", "s2", "s3"):
+        st = commutant_model(algebras[kind], full_matrix_algebra(n), CFG).structure
+        D = st.direction_matrices
+        assert len(D) == st.algebra_dim - 1
+        Tt = random_matrix(rng, n)
+        G = np.stack([random_matrix(rng, n) for _ in range(3)])
+        Ub = st.assemble([seminorms._polar_unitaries(Y) for Y in st.block_traces(G)])
+        g, H = seminorms._ascent_derivatives(Tt, D, Ub, np.linalg.svd(Ub @ Tt - Tt @ Ub))
+        for r, U in enumerate(Ub):
+            g_tol = 1e-6 * max(1.0, np.abs(g[r]).max())
+            h_tol = 1e-6 * max(1.0, np.abs(H[r]).max())
+            pairs = [(k, k) for k in range(len(D))]
+            pairs += [tuple(rng.choice(len(D), 2, replace=False)) for _ in range(6)]
+            for k, l in pairs:
+                X = D[k] if k == l else D[k] + D[l]
+                moved = (U @ _expi(X, s) for s in (t, 0.0, -t))
+                fp, f0, fm = (op_norm(V @ Tt - Tt @ V) for V in moved)
+                slope = g[r, k] if k == l else g[r, k] + g[r, l]
+                curve = H[r, k, k] if k == l else H[r, k, k] + 2.0 * H[r, k, l] + H[r, l, l]
+                assert abs((fp - fm) / (2.0 * t) - slope) <= g_tol, (kind, k, l)
+                assert abs((fp - 2.0 * f0 + fm) / t**2 - curve) <= h_tol, (kind, k, l)
+
+
+def _polar_only_phase_batch(Tt, st, Us):
+    """The polar phase without Newton steps: power-tracked polar steps on
+    every restart until all of them stall."""
+    R = Us[0].shape[0]
+    Ub = st.assemble(Us)
+    UU, sv, Vh = np.linalg.svd(Ub @ Tt - Tt @ Ub)
+    sigma, w, u = sv[:, 0], UU[:, :, 0], Vh[:, 0, :].conj()
+    stall = np.zeros(R, dtype=int)
+    iters = 0
+    while iters < seminorms._MAX_ITERS and (stall < 2).any():
+        b = np.einsum("ij,rj->ri", Tt, u)
+        c = np.einsum("ji,rj->ri", Tt.conj(), w)
+        X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
+        new = [seminorms._polar_unitaries(Y) for Y in st.block_traces(X)]
+        Ub_new = st.assemble(new)
+        sig_new, w_new, u_new = seminorms._power_steps(Ub_new @ Tt - Tt @ Ub_new, w)
+        iters += 1
+        gained = sig_new > sigma + 1e-13 * np.maximum(1.0, sigma)
+        keep = sig_new >= sigma
+        stall[gained] = 0
+        stall[~gained] += 1
+        for old, nw in zip(Us, new):
+            old[keep] = nw[keep]
+        sigma = np.where(keep, sig_new, sigma)
+        moved = keep & (sig_new > 0)
+        w[moved] = w_new[moved]
+        u[moved] = u_new[moved]
+    Ub = st.assemble(Us)
+    norms = np.linalg.svd(Ub @ Tt - Tt @ Ub, compute_uv=False)[:, 0]
+    return norms, Us, iters, bool((stall < 2).any())
+
+
+def _restart_states(st, T, cfg):
+    """T in the adapted basis and derivation_seminorm's seeded restarts."""
+    W = st.unitary
+    G = np.stack([random_matrix(cfg.rng(205, r), len(T)) for r in range(cfg.opt_restarts)])
+    Us = [seminorms._polar_unitaries(Y) for Y in st.block_traces(W.conj().T @ G @ W)]
+    return W.conj().T @ T @ W, Us
+
+
+def test_newton_finish_matches_the_polar_only_phase(monkeypatch):
+    # every restart ends at least where today's polar phase ends it, the
+    # consensus does not fall, and with every Newton step failing the
+    # polar fallback still reaches the reference value
+    rng = np.random.default_rng(37)
+    for n in (3, 4, 5, 6):
+        Mn = full_matrix_algebra(n)
+        for kind, A in _sweep_algebras(n, rng).items():
+            if kind == "full":
+                continue
+            model = commutant_model(A, Mn, CFG)
+            st = model.structure
+            for _ in range(3):
+                T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                scale = max(1.0, op_norm(T))
+                Tt, Us = _restart_states(st, T, CFG)
+                ref = _polar_only_phase_batch(Tt, st, [u.copy() for u in Us])[0]
+                new, _, _, capped = seminorms._polar_phase_batch(Tt, st, [u.copy() for u in Us])
+                assert (new >= ref - 1e-12 * scale).all() and not capped, (kind, n)
+                with monkeypatch.context() as m:
+                    m.setattr(seminorms, "_newton_steps", _no_newton)
+                    fallback = seminorms._polar_phase_batch(Tt, st, [u.copy() for u in Us])[0]
+                # a row stops after two steps under the 1e-13 stall tolerance,
+                # where the reference steps it on while another row gains
+                assert fallback.max() >= ref.max() - 1e-9 * scale, (kind, n)
+                got = derivation_seminorm(T, A, Mn, CFG, model, compute_upper=False)
+                with monkeypatch.context() as m:
+                    m.setattr(seminorms, "_polar_phase_batch", _polar_only_phase_batch)
+                    want = derivation_seminorm(T, A, Mn, CFG, model, compute_upper=False)
+                votes = got.details["restart_consensus"], want.details["restart_consensus"]
+                assert votes[0] >= votes[1], (kind, n)
+
+
+def test_newton_rounds_count_toward_the_cap(monkeypatch):
+    # Newton steps from the second round on; a round of Newton steps counts
+    # in the iterations and toward _MAX_ITERS like a polar round
+    rng = np.random.default_rng(39)
+    T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    D4, M4 = diagonal_algebra(4), full_matrix_algebra(4)
+    model = commutant_model(D4, M4, CFG)
+    rounds, newton = [], []
+    real_phase, real_newton = seminorms._polar_phase_batch, seminorms._newton_steps
+
+    def phase(*args):
+        out = real_phase(*args)
+        rounds.append(out[2])
+        return out
+
+    def steps(*args):
+        newton.append(1)
+        return real_newton(*args)
+
+    monkeypatch.setattr(seminorms, "_polar_phase_batch", phase)
+    monkeypatch.setattr(seminorms, "_newton_steps", steps)
+    monkeypatch.setattr(seminorms, "_NEWTON_FROM", np.inf)
+    rep = derivation_seminorm(T, D4, M4, CFG, model, compute_upper=False)
+    assert rounds[0] >= 3 and newton and rep.iterations >= sum(rounds)
+    assert rep.details["polar_cap_hits"] == 0
+    rounds.clear()
+    monkeypatch.setattr(seminorms, "_MAX_ITERS", 3)
+    rep = derivation_seminorm(T, D4, M4, CFG, model, compute_upper=False)
+    assert max(rounds) == 3 and rep.details["polar_cap_hits"] >= 1
 
 
 def _top_two_polished_value(T, model, cfg):
     """The ascent with its two best restarts polished, the better one kept."""
     st = model.structure
-    W = st.unitary
-    Tt = W.conj().T @ T @ W
-    G = np.stack([random_matrix(cfg.rng(205, r), len(T)) for r in range(cfg.opt_restarts)])
-    Us = [seminorms._polar_unitaries(Y) for Y in st.block_traces(W.conj().T @ G @ W)]
+    Tt, Us = _restart_states(st, T, cfg)
     sigma, Us, _, _ = seminorms._polar_phase_batch(Tt, st, Us)
     return max(
         seminorms._alternating_polish(Tt, st, [u[i : i + 1].copy() for u in Us])[0]
@@ -655,6 +807,29 @@ def test_barrier_factorizes_each_accepted_point_once(monkeypatch):
         assert rep.converged and rep.iterations > 0
         assert len(seen) > rep.iterations
         assert len(set(seen)) == len(seen)
+
+
+def test_barrier_stage_stop_matches_the_four_step_path(monkeypatch):
+    # with _CENTRED = -inf no stage ends on its Newton decrement, so each
+    # takes up to four steps: the barrier path without the decrement test,
+    # step for step
+    rng = np.random.default_rng(38)
+    steps = {"new": 0, "full": 0}
+    for n in range(2, 9):
+        algebras = [scalar_algebra(n), diagonal_algebra(n)]
+        if n >= 3:
+            algebras.append(block_algebra(((2, 1), (1, n - 2)), haar_unitary(rng, n)))
+        for A in algebras:
+            T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            new = dist_opnorm(T, A.space, CFG)
+            with monkeypatch.context() as m:
+                m.setattr(seminorms, "_CENTRED", -np.inf)
+                full = dist_opnorm(T, A.space, CFG)
+            assert new.converged and full.converged
+            assert abs(new.value - full.value) <= 1e-12 * max(1.0, op_norm(T))
+            steps["new"] += new.iterations
+            steps["full"] += full.iterations
+    assert steps["new"] < steps["full"]
 
 
 def test_non_selfadjoint_algebra_reports_contraction_sup():
