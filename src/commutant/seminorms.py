@@ -37,6 +37,9 @@ Two optimization problems live here:
   finite-dimensional C*-algebra.  Every unitary of the commutant commutes
   with the double commutant A'', so ||UT - TU|| <= 2 dist(T, A''): the
   ascent's witness and that distance bracket the seminorm.
+  For a non-selfadjoint A the unitaries of C*(A)' miss the unit ball of
+  A', so the details carry the ball sup, as the sup of ||WT - TW|| / ||W||
+  over A' from a ratio ascent of two batched SVDs a round.
 
 Seeded draws come from spans, not bases: a restart is the polar factors
 of one Ginibre matrix's block compressions (Haar unitaries whose direct
@@ -723,59 +726,51 @@ def _newton_converged(Tt, st: BlockStructure, Us) -> bool:
 
 
 def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
-    """Heuristic sup of ||WT - TW|| over contractions in the span commutant.
+    """Estimated sup of ||WT - TW|| over the unit ball of the span commutant A'.
 
-    Projected-ball ascent from eight seeded starts; only meaningful when the
-    algebra is not selfadjoint (otherwise the unitary search already covers
-    the extreme points).  Starts, gradient steps and clips are random
-    elements of and projections onto the span of A', not its basis.  The
-    trials run as one (8, n, n) stack; each keeps its own step size and
-    stops on its own, so each follows the path it would follow alone.
+    Both norms are positively homogeneous, so that is the sup of the ratio
+    r(W) = ||WT - TW|| / ||W|| over nonzero W in A', and every iterate
+    scaled to W / ||W|| lies in the ball.  Gradient ascent on r from eight
+    seeded elements of the span (not of its basis), run as one stack: a
+    round is two batched SVDs, of W and WT - TW, whose top pairs (a, b) and
+    (w, u) give the gradient w (Tu)* - (T* w) u* - r a b* at ||W|| = 1; its
+    projection onto A' is the step.  A step is kept where it gains more
+    than 1e-12 and 1e-4 of its first-order prediction (Armijo), and the
+    step size then grows 1.5-fold up to 2, or else halves.  Each trial
+    stops on its own below step 1e-6, and at most 60 rounds run.
     """
     C = model.span_commutant.space
     if C.dim == 0:
         return 0.0
 
     def score(W):
-        """Top singular value and pair (w, u) of each W T - T W."""
-        UU, s, Vh = np.linalg.svd(W @ T - T @ W)
-        return s[:, 0], UU[:, :, 0], Vh[:, 0, :].conj()
+        """r(W), W / ||W|| and the top singular pairs of W and of W T - T W."""
+        Ua, sa, Vha = np.linalg.svd(W)
+        Uw, sw, Vhw = np.linalg.svd(W @ T - T @ W)
+        nrm = sa[:, 0]
+        pairs = Ua[:, :, 0], Vha[:, 0, :].conj(), Uw[:, :, 0], Vhw[:, 0, :].conj()
+        return (sw[:, 0] / nrm, W / nrm[:, None, None]) + pairs
 
-    def clip_to_feasible(W):
-        nrm = np.empty(len(W))
-        todo = np.arange(len(W))
-        for _ in range(4):
-            U, s, Vh = np.linalg.svd(W[todo])
-            nrm[todo] = s[:, 0]
-            over = s[:, 0] > 1.0 + 1e-12
-            if not over.any():
-                break
-            todo, U, s, Vh = todo[over], U[over], s[over], Vh[over]
-            W[todo] = C.projections((U * np.minimum(s, 1.0)[:, None, :]) @ Vh)
-        else:
-            # rows clipped in the last round have no current norm yet
-            nrm[todo] = np.linalg.svd(W[todo], compute_uv=False)[:, 0]
-        return W / np.maximum(nrm, 1.0)[:, None, None]
+    def outer(x, y):
+        return x[:, :, None] * y.conj()[:, None, :]
 
-    W = clip_to_feasible(np.stack([C.random_element(cfg.rng(207, trial)) for trial in range(8)]))
+    # each trial keeps the pairs that scored its current W for its next step
+    val, W, a, b, w, u = score(np.stack([C.random_element(cfg.rng(207, t)) for t in range(8)]))
     eta = np.full(len(W), 0.5)
-    # each trial keeps the singular pair that scored its current W, so a
-    # gradient step needs no fresh SVD
-    val, w, u = score(W)
     live = np.arange(len(W))
     for _ in range(60):
         if live.size == 0:
             break
         wl, ul = w[live], u[live]
-        # the gradient of Re <w, (WT - TW) u> in W is w (Tu)* - (T* w) u*,
-        # and its projection onto the span is the ascent direction
-        Tu, Tw = ul @ T.T, wl @ T.conj()
-        grad = wl[:, :, None] * Tu.conj()[:, None, :] - Tw[:, :, None] * ul.conj()[:, None, :]
-        Wc = clip_to_feasible(W[live] + eta[live][:, None, None] * C.projections(grad))
-        vc, wc, uc = score(Wc)
-        up = vc > val[live] + 1e-12
-        W[live[up]] = Wc[up]
-        val[live[up]], w[live[up]], u[live[up]] = vc[up], wc[up], uc[up]
+        grad = outer(wl, ul @ T.T) - outer(wl @ T.conj(), ul)
+        grad -= val[live][:, None, None] * outer(a[live], b[live])
+        D = C.projections(grad)
+        cand = score(W[live] + eta[live][:, None, None] * D)
+        # a step gaining far less than eta ||D||^2 swings across the maximum
+        need = 1e-4 * eta[live] * np.sum(np.abs(D) ** 2, axis=(1, 2))
+        up = cand[0] > val[live] + np.maximum(need, 1e-12)
+        for x, c in zip((val, W, a, b, w, u), cand):
+            x[live[up]] = c[up]
         eta[live[up]] = np.minimum(eta[live[up]] * 1.5, 2.0)
         eta[live[~up]] /= 2.0
         live = live[eta[live] >= 1e-6]
@@ -798,8 +793,9 @@ def derivation_seminorm(
     unitaries of A', so the value can be 0 off A'': for the polynomial
     algebra of a generic matrix, A'' = A while C*(A)' is the scalars, and
     every T gets value 0, converged, at a positive dist(T, A'').  For a
-    non-selfadjoint A the details also carry a separately estimated sup
-    over contractions of the plain commutant A'.
+    non-selfadjoint A, details["contraction_sup"] estimates from below the
+    sup of ||WT - TW|| over the unit ball of the plain commutant A', as the
+    largest ratio ||WT - TW|| / ||W|| an ascent over A' finds.
 
     The report is a bracket: lower_bound is the value of the ascent's
     witness unitary, and upper_bound is 2 dist(T, A'') from the certified

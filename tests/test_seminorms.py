@@ -845,33 +845,31 @@ def test_non_selfadjoint_algebra_reports_contraction_sup():
 
 
 def _contraction_sup_one_trial_at_a_time(T, model, cfg):
-    """Reference ascent: each trial alone, every SVD computed afresh."""
+    """Reference ratio ascent: each trial alone, every SVD computed afresh."""
     C = model.span_commutant
-    n, Bs, S = C.ambient_dim, C.basis, C.space.stack
+    Bs = C.basis
 
-    def clip(W):
-        for _ in range(4):
-            U, s, Vh = np.linalg.svd(W)
-            if s[0] <= 1.0 + 1e-12:
-                break
-            W = ((((U * np.minimum(s, 1.0)) @ Vh).ravel() @ S.conj().T) @ S).reshape(n, n)
-        return W / max(op_norm(W), 1.0)
+    def ratio(W):
+        return op_norm(W @ T - T @ W) / op_norm(W)
 
     best = 0.0
     for trial in range(8):
-        W = clip(C.space.random_element(cfg.rng(207, trial)))
-        val, eta = op_norm(W @ T - T @ W), 0.5
+        W = C.space.random_element(cfg.rng(207, trial))
+        W, val, eta = W / op_norm(W), ratio(W), 0.5
         for _ in range(60):
             if eta < 1e-6:
                 break
             UU, _, Vh = np.linalg.svd(W @ T - T @ W)
             w, u = UU[:, 0], Vh[0].conj()
+            Ua, _, Vha = np.linalg.svd(W)
+            # d r = Re tr(K dW) at ||W|| = 1, and the step is sum conj(g_k) B_k
             K = np.outer(T @ u, w.conj()) - np.outer(u, w.conj() @ T)
+            K -= val * np.outer(Vha[0].conj(), Ua[:, 0].conj())
             g = np.einsum("kab,ba->k", Bs, K)
-            Wc = clip(W + eta * np.tensordot(np.conj(g), Bs, axes=1))
-            vc = op_norm(Wc @ T - T @ Wc)
-            if vc > val + 1e-12:
-                W, val, eta = Wc, vc, min(eta * 1.5, 2.0)
+            Wc = W + eta * np.tensordot(np.conj(g), Bs, axes=1)
+            vc = ratio(Wc)
+            if vc > val + max(1e-4 * eta * float(np.sum(np.abs(g) ** 2)), 1e-12):
+                W, val, eta = Wc / op_norm(Wc), vc, min(eta * 1.5, 2.0)
             else:
                 eta /= 2.0
         best = max(best, val)
@@ -890,14 +888,45 @@ def test_contraction_sup_matches_one_trial_at_a_time(n):
         assert abs(got - _contraction_sup_one_trial_at_a_time(T, model, CFG)) < 1e-10 * op_norm(T)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+def test_contraction_sup_matches_the_two_by_two_closed_form():
+    # for A = span{I, X} in M_2, A' = A and W = a I + b X gives
+    # ||WT - TW|| = |b| ||[X, T]|| and ||W|| >= |b| dist(X, C I), so the
+    # sup over the unit ball is ||[X, T]|| / dist(X, C I)
+    rng = np.random.default_rng(60)
+    M2, scalars = full_matrix_algebra(2), scalar_algebra(2)
+    for _ in range(20):
+        X, T = random_matrix(rng, 2), random_matrix(rng, 2)
+        model = commutant_model(algebra_from_space(orthonormalize([np.eye(2), X], CFG, 2)), M2, CFG)
+        want = op_norm(X @ T - T @ X) / dist_opnorm(X, scalars.space, CFG).value
+        got = seminorms._contraction_sup(T, model, CFG)
+        assert abs(got - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_contraction_sup_is_bounded_by_the_bicommutant_distance(n):
+    # every W in the unit ball of A' commutes with A'', so
+    # ||WT - TW|| <= 2 dist(T, A''), and the sup vanishes on A''
+    rng = np.random.default_rng(70 + n)
+    M = full_matrix_algebra(n)
+    J = np.diag(np.ones(n - 1), 1).astype(complex)
+    for gen in (random_matrix(rng, n), J):
+        model = commutant_model(generate_algebra([gen], CFG), M, CFG)
+        bicomm = model.bicommutant.space
+        for T in (random_matrix(rng, n), bicomm.random_element(rng)):
+            scale = max(1.0, op_norm(T))
+            sup = seminorms._contraction_sup(T, model, CFG)
+            assert sup <= 2.0 * dist_opnorm(T, bicomm, CFG).value + 1e-6 * scale
+        assert sup < 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_reports_depend_on_the_span_not_the_basis(n):
     rng = np.random.default_rng(50 + n)
     M = full_matrix_algebra(n)
     T = random_matrix(rng, n)
-    poly = generate_algebra([random_matrix(rng, n)], CFG)
+    polys = [generate_algebra([random_matrix(rng, n)], CFG) for _ in range(5)]
     blocks = block_algebra(((2, 1), (1, n - 2)), haar_unitary(rng, n))
-    for A in (poly, blocks):
+    for A in polys + [blocks]:
         # a Haar mix of the orthonormal basis spans the same algebra
         mixed = np.tensordot(haar_unitary(rng, A.dim), A.basis, axes=1)
         rebased = MatrixAlgebra(OperatorSubspace(n, mixed), A.unital, A.selfadjoint)
