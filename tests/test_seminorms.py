@@ -912,11 +912,10 @@ def test_contraction_sup_is_bounded_by_the_bicommutant_distance(n):
     for gen in (random_matrix(rng, n), J):
         model = commutant_model(generate_algebra([gen], CFG), M, CFG)
         bicomm = model.bicommutant.space
-        for T in (random_matrix(rng, n), bicomm.random_element(rng)):
-            scale = max(1.0, op_norm(T))
-            sup = seminorms._contraction_sup(T, model, CFG)
-            assert sup <= 2.0 * dist_opnorm(T, bicomm, CFG).value + 1e-6 * scale
-        assert sup < 1e-12 * scale
+        T, S = random_matrix(rng, n), bicomm.random_element(rng)
+        sup = seminorms._contraction_sup(T, model, CFG)
+        assert sup <= 2.0 * dist_opnorm(T, bicomm, CFG).value + 1e-6 * max(1.0, op_norm(T))
+        assert seminorms._contraction_sup(S, model, CFG) < 1e-12 * max(1.0, op_norm(S))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
