@@ -983,3 +983,27 @@ def test_composition_requires_nesting():
         composition_inequality_check(
             diagonal_algebra(3), scalar_algebra(3), full_matrix_algebra(3), 2, CFG
         )
+
+
+def test_newton_steps_run_up_to_the_cap_and_not_above(monkeypatch):
+    # the cap is the one size rule: the scalars' commutant M_8 has p = 63
+    # directions and gets Newton steps, M_9 has p = 80 and gets none
+    rng = np.random.default_rng(36)
+    calls = []
+    real = seminorms._newton_steps
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(seminorms, "_newton_steps", counted)
+    for n, stepped in ((8, True), (9, False)):
+        Sn, Mn = scalar_algebra(n), full_matrix_algebra(n)
+        model = commutant_model(Sn, Mn, CFG)
+        assert (model.structure.algebra_dim - 1 <= seminorms._NEWTON_MAX_DIRECTIONS) == stepped
+        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        calls.clear()
+        rep = derivation_seminorm(T, Sn, Mn, CFG, model, compute_upper=False)
+        assert bool(calls) == stepped, n
+        dd = dist_opnorm(T, Sn.space, CFG)
+        assert abs(rep.value - 2.0 * dd.value) <= 1e-5 * (1.0 + op_norm(T)), n
