@@ -21,8 +21,9 @@ Two optimization problems live here:
   from one SVD of the commutators by perturbation of the top singular
   value.  A restart whose Newton step is not valid or does not rise takes
   a polar step instead, and where the commutant has too many Hermitian
-  directions for Newton steps, polar steps run to the stall.  The value is
-  the best restart's.
+  directions for Newton steps, polar steps run to the stall.  The phases
+  run in lockstep, all polar rounds first, and the iterations count both
+  kinds of round.  The value is the best restart's.
   The blocks of one shape (s, m) are factorized together: their unitaries
   are held as one stacked array, so each polar step is one batched s x s
   SVD and each Newton step one batched eigh per block shape
@@ -30,7 +31,7 @@ Two optimization problems live here:
   positions.  A polar step before the Newton steps does not decompose the
   n x n commutators it produces: two power steps from the previous left
   singular vector track their top singular pair, which keeps the ascent
-  monotone, and each phase ends with one batched singular-value call for
+  monotone, and the ascent ends with one batched singular-value call for
   the exact norms.
   The sup over contractions is attained on unitaries because the objective
   is convex and the unitaries are the extreme points of the unit ball of a
@@ -43,9 +44,9 @@ Two optimization problems live here:
 
 Seeded draws come from spans, not bases: a restart is the polar factors
 of one Ginibre matrix's block compressions (Haar unitaries whose direct
-sum does not depend on the adapted basis), and every other seeded element
-of a known span is OperatorSubspace.random_element.  Only the sampling
-oracle keeps per-block Haar draws of its own.
+sum does not depend on the adapted basis), drawn once per model, and every
+other seeded element of a known span is OperatorSubspace.random_element.
+Only the sampling oracle keeps per-block Haar draws of its own.
 
 Every report is a bracket [lower_bound, upper_bound] around its value, and
 converged means one thing throughout: the bracket is at most 1e-6 wide
@@ -76,8 +77,8 @@ _GAP_TOL = 1e-6
 # (Boyd & Vandenberghe, Convex Optimization, sections 9.5 and 11.3)
 _CENTRED = 0.1
 _ZERO_DN = 1e-8
-# rounds (polar or Newton steps) per ascent phase; above the Newton cap the
-# polar steps converge only linearly, and at 400 rounds a Haar-rotated
+# rounds per ascent, polar and Newton rounds on one counter; above the Newton
+# cap the polar steps converge only linearly, and at 400 rounds a Haar-rotated
 # M_2 (x) I_9 stopped 1.2e-6 max(1, ||T||) short of its stall value
 _MAX_ITERS = 1000
 # power steps per polar step that track the commutator's top singular pair;
@@ -133,6 +134,8 @@ class CommutantModel:
     star_commutant: MatrixAlgebra  # commutant of A together with its adjoints
     structure: BlockStructure  # block form of the star commutant
     bicommutant: MatrixAlgebra  # commutant of span_commutant in ambient
+    # seeded ascent restarts per (rng_seed, opt_restarts), handed out as copies
+    restarts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def trivial(self) -> bool:
@@ -541,19 +544,20 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
     stays.
 
     Alternating maximization converges only linearly, so once a restart
-    gains less than that it finishes with Riemannian Newton steps
+    gains less than that it switches to Riemannian Newton steps
     (_newton_steps) from the exact SVD of its commutator, each kept only
     where the exact norm rises.  Where the Newton step is not valid or
     does not rise, the restart takes a polar step from its exact pair
     instead, kept where it does not decrease the norm.  Every restart
     stops on its own once two steps in a row gain at most
     1e-13 max(1, sigma), or once a valid Newton step predicts a gain
-    within that tolerance.  A round is one step of every running restart,
-    Newton or polar, and at most _MAX_ITERS rounds run.  The phase ends
-    with one batched singular-value call and returns the exact norms
-    ||F||, so restarts are ranked by exact values.  Us holds one
+    within that tolerance.  The phases run in lockstep: polar rounds step
+    every restart still in the polar phase, then Newton rounds every
+    switched one still running, at most _MAX_ITERS rounds in all.  The
+    ascent ends with one batched singular-value call and returns the exact
+    norms ||F||, so restarts are ranked by exact values.  Us holds one
     (R, K, s, s) array per block shape and is updated in place.  Returns
-    (norms, Us, rounds, capped), where capped says the phase stopped at
+    (norms, Us, rounds, capped), where capped says the ascent stopped at
     _MAX_ITERS with a restart still gaining.
     """
 
@@ -575,17 +579,32 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
     w = Wl[:, :, 0].copy()
     u = Vh[:, 0, :].conj()
     stall = np.zeros(R, dtype=int)
-    # rows finishing by Newton steps; their (Wl, sv, Vh) rows are exact
+    # rows switched to Newton steps; their (Wl, sv, Vh) rows are exact
     newton = np.zeros(R, dtype=bool)
+    iters = 0
+    while iters < _MAX_ITERS and (rows := np.flatnonzero((stall < 2) & ~newton)).size:
+        iters += 1
+        new = _polar_steps(Tt, st, w[rows], u[rows])
+        sig_new, w_new, u_new = _power_steps(commutators(new), w[rows])
+        old = sigma[rows]
+        keep = sig_new >= old
+        stalls(rows, old, sig_new)
+        for x, q in zip(Us, new):
+            x[rows[keep]] = q[keep]
+        sigma[rows[keep]] = sig_new[keep]
+        moved = keep & (sig_new > 0)
+        w[rows[moved]], u[rows[moved]] = w_new[moved], u_new[moved]
+        slow = rows[(sig_new - old < switch) & (stall[rows] < 2)]
+        if slow.size:
+            Wl[slow], sv[slow], Vh[slow] = np.linalg.svd(commutators([x[slow] for x in Us]))
+            sigma[slow], w[slow], u[slow] = sv[slow, 0], Wl[slow, :, 0], Vh[slow, 0, :].conj()
+            newton[slow] = True
     retry = np.zeros(R, dtype=bool)
     damp = np.ones(R)
-    iters = 0
-    while iters < _MAX_ITERS and (stall < 2).any():
+    # below the cap every running row has switched: a Newton step where valid
+    # and its last did not fall, else a polar step from its exact pair
+    while iters < _MAX_ITERS and (rows := np.flatnonzero(stall < 2)).size:
         iters += 1
-        live = stall < 2
-        # Newton rows take a Newton step where it is valid and their last
-        # one did not fall, and a polar step from their exact pair otherwise
-        rows = np.flatnonzero(live & newton)
         polar = rows[retry[rows]]
         rows = rows[~retry[rows]]
         cand = []
@@ -621,23 +640,6 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
                 x[up] = c[keep]
             Wl[up], sv[up], Vh[up] = W2[keep], s2[keep], V2[keep]
             sigma[up], w[up], u[up] = s2[keep, 0], W2[keep, :, 0], V2[keep, 0, :].conj()
-        rows = np.flatnonzero(live & ~newton)
-        if rows.size:
-            new = _polar_steps(Tt, st, w[rows], u[rows])
-            sig_new, w_new, u_new = _power_steps(commutators(new), w[rows])
-            old = sigma[rows]
-            keep = sig_new >= old
-            stalls(rows, old, sig_new)
-            for x, q in zip(Us, new):
-                x[rows[keep]] = q[keep]
-            sigma[rows[keep]] = sig_new[keep]
-            moved = keep & (sig_new > 0)
-            w[rows[moved]], u[rows[moved]] = w_new[moved], u_new[moved]
-            slow = rows[(sig_new - old < switch) & (stall[rows] < 2)]
-            if slow.size:
-                Wl[slow], sv[slow], Vh[slow] = np.linalg.svd(commutators([x[slow] for x in Us]))
-                sigma[slow], w[slow], u[slow] = sv[slow, 0], Wl[slow, :, 0], Vh[slow, 0, :].conj()
-                newton[slow] = True
     norms = np.linalg.svd(commutators(Us), compute_uv=False)[:, 0]
     return norms, Us, iters, bool((stall < 2).any())
 
@@ -694,6 +696,20 @@ def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
     return float(max(0.0, val.max()))
 
 
+def _restarts(model: CommutantModel, cfg: NumericConfig) -> list:
+    """Copies of the model's seeded restarts (the ascent updates them in place).
+
+    Restart r, drawn on first use, is the per-block polar factors of the
+    Ginibre matrix from cfg.rng(205, r), whichever basis wedderburn chose.
+    """
+    key = (cfg.rng_seed, cfg.opt_restarts)
+    if key not in model.restarts:
+        st, W = model.structure, model.structure.unitary
+        G = np.stack([random_matrix(cfg.rng(205, r), st.ambient_dim) for r in range(key[1])])
+        model.restarts[key] = [_polar_unitaries(Y) for Y in st.block_traces(W.conj().T @ G @ W)]
+    return [x.copy() for x in model.restarts[key]]
+
+
 def derivation_seminorm(
     T,
     A: MatrixAlgebra,
@@ -721,7 +737,8 @@ def derivation_seminorm(
     closed to 1e-6 relative to max(1, ||T||).  The restarts ascend
     together by polar steps and then Newton steps (_polar_phase_batch),
     and the value and witness are those of the restart ranked best.
-    iterations counts the rounds of that ascent.  As diagnostics only,
+    iterations counts the rounds of that ascent, polar plus Newton
+    rounds, from restarts drawn once per model.  As diagnostics only,
     details["restart_consensus"] counts how many of the R restarts came
     within 1e-6 max(1, ||T||) of the value, out of R, and
     details["polar_cap_hits"] is 1 where the ascent stopped at its round
@@ -740,10 +757,7 @@ def derivation_seminorm(
         return _report(0.0, np.eye(n, dtype=np.complex128), 0.0, 0.0, 0, scale, details)
     W = st.unitary
     Tt = W.conj().T @ Tm @ W
-    # Haar restarts, the same whichever adapted basis W wedderburn returned
-    G = np.stack([random_matrix(cfg.rng(205, r), st.ambient_dim) for r in range(cfg.opt_restarts)])
-    Us = [_polar_unitaries(Y) for Y in st.block_traces(W.conj().T @ G @ W)]
-    sigma, Us, iters, caps = _polar_phase_batch(Tt, st, Us)
+    sigma, Us, iters, caps = _polar_phase_batch(Tt, st, _restarts(model, cfg))
     best = np.argsort(-sigma)[0]
     value = float(sigma[best])
     details["restart_consensus"] = int(np.sum(value - sigma <= _GAP_TOL * scale))

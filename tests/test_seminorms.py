@@ -656,12 +656,10 @@ def _polar_only_phase_batch(Tt, st, Us):
     return norms, Us, iters, bool((stall < 2).any())
 
 
-def _restart_states(st, T, cfg):
+def _restart_states(model, T, cfg):
     """T in the adapted basis and derivation_seminorm's seeded restarts."""
-    W = st.unitary
-    G = np.stack([random_matrix(cfg.rng(205, r), len(T)) for r in range(cfg.opt_restarts)])
-    Us = [seminorms._polar_unitaries(Y) for Y in st.block_traces(W.conj().T @ G @ W)]
-    return W.conj().T @ T @ W, Us
+    W = model.structure.unitary
+    return W.conj().T @ T @ W, seminorms._restarts(model, cfg)
 
 
 def test_value_is_the_best_restart_of_the_one_ascent(monkeypatch):
@@ -685,7 +683,7 @@ def test_value_is_the_best_restart_of_the_one_ascent(monkeypatch):
             with monkeypatch.context() as m:
                 if forced:
                     m.setattr(seminorms, "_newton_steps", _no_newton)
-                Tt, Us = _restart_states(st, T, CFG)
+                Tt, Us = _restart_states(model, T, CFG)
                 norms = real(Tt, st, Us)[0]
                 rep = derivation_seminorm(T, D4, M4, CFG, model, compute_upper=False)
             assert rep.value == norms.max()
@@ -711,7 +709,7 @@ def test_newton_finish_matches_the_polar_only_phase(monkeypatch):
             for _ in range(3):
                 T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 scale = max(1.0, op_norm(T))
-                Tt, Us = _restart_states(st, T, CFG)
+                Tt, Us = _restart_states(model, T, CFG)
                 ref = _polar_only_phase_batch(Tt, st, [u.copy() for u in Us])[0]
                 new, _, _, capped = seminorms._polar_phase_batch(Tt, st, [u.copy() for u in Us])
                 assert (new >= ref - 1e-12 * scale).all() and not capped, (kind, n)
@@ -758,6 +756,92 @@ def test_newton_rounds_count_toward_the_cap(monkeypatch):
     monkeypatch.setattr(seminorms, "_MAX_ITERS", 3)
     rep = derivation_seminorm(T, D4, M4, CFG, model, compute_upper=False)
     assert max(rounds) == 3 and rep.details["polar_cap_hits"] >= 1
+
+
+def _logged_ascent(monkeypatch, Tt, st, Us, newton=None):
+    """Run _polar_phase_batch and log its step calls in order.
+
+    Each _polar_steps call logs ("Q", rows), each _power_steps call
+    ("P", rows) and each _newton_steps call ("N", rows); newton, if given,
+    stands in for the Newton steps.  Returns (rounds, events).
+    """
+    events = []
+
+    def logged(tag, real, rows_of):
+        def call(*args):
+            events.append((tag, len(rows_of(args))))
+            return real(*args)
+
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(seminorms, "_polar_steps", logged("Q", seminorms._polar_steps, lambda a: a[2]))
+        m.setattr(seminorms, "_power_steps", logged("P", seminorms._power_steps, lambda a: a[1]))
+        newton = newton or seminorms._newton_steps
+        m.setattr(seminorms, "_newton_steps", logged("N", newton, lambda a: a[3][1]))
+        rounds = seminorms._polar_phase_batch(Tt, st, Us)[2]
+    return rounds, events
+
+
+def _done_newton(Tt, st, Us, svd, damp=1.0):
+    """A _newton_steps stand-in whose every step is valid and predicts no gain."""
+    R = len(svd[1])
+    return [u.copy() for u in Us], np.ones(R, dtype=bool), np.zeros(R)
+
+
+def test_ascent_runs_polar_then_newton_rounds_in_lockstep(monkeypatch):
+    # every restart takes polar rounds until it switches, and only once all
+    # have switched do the Newton rounds start, each one stepping every
+    # switched restart still running in one _newton_steps call; the
+    # restarts switch after different numbers of polar rounds, so an
+    # ascent that mixed the two phases in a round would split those calls
+    rng = np.random.default_rng(41)
+    for n, kind in ((4, "masa"), (4, "s2"), (5, "scalars"), (5, "s3")):
+        model = commutant_model(_sweep_algebras(n, rng)[kind], full_matrix_algebra(n), CFG)
+        st = model.structure
+        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Tt, Us = _restart_states(model, T, CFG)
+        _, events = _logged_ascent(monkeypatch, Tt, st, [u.copy() for u in Us])
+        first = [e[0] for e in events].index("N")
+        assert events[first] == ("N", CFG.opt_restarts), (n, kind)
+        assert all(e[0] != "P" for e in events[first:]), (n, kind)
+        # a polar step gaining under 1e-13 also gains under _NEWTON_FROM, so
+        # every restart switches before it can stall in the polar rounds
+        polar = [rows for tag, rows in events if tag == "P"]
+        assert polar[0] == CFG.opt_restarts and len(set(polar)) > 2, (n, kind)
+        # with every Newton step done at once, the Newton rounds are one call
+        rounds, events = _logged_ascent(monkeypatch, Tt, st, [u.copy() for u in Us], _done_newton)
+        assert [e for e in events if e[0] != "P"][-1:] == [("N", CFG.opt_restarts)], (n, kind)
+        assert [e[0] for e in events].count("N") == 1
+        assert rounds == len(polar) + 1, (n, kind)
+
+
+def _same_report(a, b):
+    return (
+        (a.value, a.lower_bound, a.upper_bound, a.iterations, a.converged, a.details)
+        == (b.value, b.lower_bound, b.upper_bound, b.iterations, b.converged, b.details)
+        and np.array_equal(a.witness, b.witness)
+    )
+
+
+def test_restarts_drawn_once_per_model_leak_no_state():
+    # the ascent updates its restarts in place, so each call must start from
+    # the model's seeded draw: on one model, two T in either order and each
+    # one twice give the reports of a freshly built model
+    rng = np.random.default_rng(42)
+    M4 = full_matrix_algebra(4)
+    for A in (diagonal_algebra(4), _sweep_algebras(4, rng)["s2"]):
+        Ts = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
+        fresh = [
+            derivation_seminorm(T, A, M4, CFG, commutant_model(A, M4, CFG), compute_upper=False)
+            for T in Ts
+        ]
+        for order in ((0, 1, 1, 0), (1, 0, 0, 1)):
+            model = commutant_model(A, M4, CFG)
+            for k in order:
+                rep = derivation_seminorm(Ts[k], A, M4, CFG, model, compute_upper=False)
+                assert _same_report(rep, fresh[k]), (order, k)
+            assert list(model.restarts) == [(CFG.rng_seed, CFG.opt_restarts)]
 
 
 def test_barrier_factorizes_each_accepted_point_once(monkeypatch):
