@@ -5,8 +5,10 @@ Two optimization problems live here:
 * dist_opnorm minimizes ||T - a|| over a in a subspace.  That is convex in
   the coefficients, and its epigraph t I >= [[0, M], [M*, 0]] is a linear
   matrix inequality, so one log-det barrier path from the projection of T
-  solves it; each stage of the path ends once its Newton decrement is
-  small.  The barrier's final inverse also yields the certificate: its
+  solves it.  Each stage of the path backtracks its Newton steps until the
+  barrier objective falls and ends once its Newton decrement is small; the
+  final centering takes full Newton steps, each checked to stay on the
+  cone.  The barrier's final inverse also yields the certificate: its
   off-diagonal block, projected off the subspace and scaled to unit
   nuclear norm, pairs with T to give a lower bound on the distance.
 
@@ -55,6 +57,7 @@ relative to max(1, ||T||).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,50 +203,77 @@ def _bound_from_Z(T, V: OperatorSubspace, Z: np.ndarray) -> float:
     return abs(float(np.real(np.vdot(Wp, np.asarray(T))))) / nn
 
 
+@dataclass
+class _BarrierPoint:
+    """One barrier iterate: y, F(y), -log det F (None off the cone) and F's
+    factors, made by the first Newton step from it; theta does not enter."""
+
+    y: np.ndarray
+    F: np.ndarray
+    ld: float | None
+    factors: tuple | None = None
+
+
 def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
     """Primal barrier method for min_x ||T - sum x_k B_k||.
 
     The epigraph form t I >= [[0, M], [M*, 0]] is a linear matrix
     inequality, so the standard log-det barrier applies; Newton systems are
-    tiny.  Each stage of the path (one theta) takes at most four damped
-    Newton steps and ends early once the Newton decrement is at most
-    _CENTRED.  Returns (x, newton_steps, P12) where P12 is the off-diagonal
-    block of the final barrier inverse, an almost exactly feasible dual
-    candidate.
+    tiny.  Each stage of the path (one theta) takes at most four Newton
+    steps, halved until the barrier objective falls, and ends early once
+    the Newton decrement is at most _CENTRED.  The final centering takes
+    full Newton steps, which stay in the Dikin ellipsoid of a centred point
+    and so on the cone (Nesterov & Nemirovskii, 1994); one whose point fails
+    the Cholesky test all the same ends it.  Returns (x, newton_steps, P12),
+    P12 the off-diagonal block of the centering's barrier inverse with the
+    least x-gradient, an almost exactly feasible dual candidate.
     """
     d = stack.shape[0]
-    two = 2 * n
-    eye = np.eye(two, dtype=np.complex128)
-    dFs = np.zeros((1 + 2 * d, two, two), dtype=np.complex128)
+    eye = np.eye(2 * n, dtype=np.complex128)
+    Bs = stack.reshape(d, n, n)
+    Bh = Bs.conj().transpose(0, 2, 1)
+    dFs = np.zeros((1 + 2 * d, *eye.shape), dtype=np.complex128)
     dFs[0] = eye
-    for k in range(d):
-        B = stack[k].reshape(n, n)
-        dFs[1 + k, :n, n:] = -B
-        dFs[1 + k, n:, :n] = -B.conj().T
-        dFs[1 + d + k, :n, n:] = -1j * B
-        dFs[1 + d + k, n:, :n] = 1j * B.conj().T
+    dFs[1 : 1 + d, :n, n:] = -Bs
+    dFs[1 : 1 + d, n:, :n] = -Bh
+    dFs[1 + d :, :n, n:] = -1j * Bs
+    dFs[1 + d :, n:, :n] = 1j * Bh
     m = dFs.shape[0]
     dF_rows = dFs.reshape(m, -1)
 
-    def F_of(y):
+    def point(y):
         x = y[1 : 1 + d] + 1j * y[1 + d :]
         M = (vecT - stack.T @ x).reshape(n, n)
         F = y[0] * eye
         F[:n, n:] += M
         F[n:, :n] += M.conj().T
-        return F
-
-    def neg_logdet(F):
-        try:
+        ld = None
+        with suppress(np.linalg.LinAlgError):
             L = np.linalg.cholesky(F)
+            ld = -2.0 * float(np.sum(np.log(np.real(np.diag(L)))))
+        return _BarrierPoint(y, F, ld)
+
+    def newton_step(pt, theta):
+        """Gradient and Newton step of y[0] + theta * (-log det F) at pt, or None."""
+        try:
+            if pt.factors is None:
+                # F's inverse P and the traces tr(P dF_a) and Re tr(P dF_a P dF_b)
+                P = np.linalg.inv(pt.F)
+                P = (P + P.conj().T) / 2.0
+                Q = P @ dFs
+                gram = np.real(Q.reshape(m, -1) @ np.swapaxes(Q, 1, 2).reshape(m, -1).T)
+                pt.factors = P, np.real(dF_rows @ P.T.ravel()), gram
+            _, traces, gram = pt.factors
+            grad = -theta * traces
+            grad[0] += 1.0
+            H = theta * gram
+            H.flat[:: m + 1] += 1e-13 * max(1.0, theta)
+            return grad, np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
             return None
-        return -2.0 * float(np.sum(np.log(np.real(np.diag(L)))))
 
-    t0 = float(
-        np.linalg.svd((vecT - stack.T @ x0).reshape(n, n), compute_uv=False)[0]
-    )
-    y = np.concatenate([[t0 + 0.05 * scale + 1e-8], x0.real, x0.imag])
+    t0 = float(np.linalg.svd((vecT - stack.T @ x0).reshape(n, n), compute_uv=False)[0])
+    pt = point(np.concatenate([[t0 + 0.05 * scale + 1e-8], x0.real, x0.imag]))
     steps = 0
     theta = 0.1 * scale
     # the central point at theta lies at most 2n * theta above the optimum,
@@ -252,46 +282,10 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
     # singular that the dual candidate P12 degrades, and the largest
     # certified gap over n = 2..10 grew tenfold, to 4e-7 * scale.
     theta_min = 1e-10 * scale
-
-    def factors(F):
-        """F's inverse P and the traces tr(P dF_a) and Re tr(P dF_a P dF_b)."""
-        try:
-            P = np.linalg.inv(F)
-        except np.linalg.LinAlgError:
-            return None
-        P = (P + P.conj().T) / 2.0
-        # tr(P dF_a) and tr(P dF_a P dF_b) as matrix products
-        traces = np.real(dF_rows @ P.T.ravel())
-        Q = P @ dFs
-        return P, traces, np.real(Q.reshape(m, -1) @ np.swapaxes(Q, 1, 2).reshape(m, -1).T)
-
-    def newton_step(fac, theta):
-        """Gradient and Newton step of y[0] + theta * (-log det F) at F's point.
-
-        The inverse and the traces do not depend on theta, so a point's
-        factors serve every stage that starts there.
-        """
-        _, traces, gram = fac
-        grad = -theta * traces
-        grad[0] += 1.0
-        H = theta * gram
-        H.flat[:: m + 1] += 1e-13 * max(1.0, theta)
-        try:
-            return grad, np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            return None
-
-    # F and its -log det belong to the current y; an accepted line-search
-    # trial hands its own on, so each point is factorized once, and its
-    # factors are computed on first use
-    F = F_of(y)
-    ld = neg_logdet(F)
-    fac = None
     while theta > theta_min:
         theta = max(theta * 0.15, theta_min)
         for _ in range(4):
-            fac = fac or factors(F)
-            sys = fac and newton_step(fac, theta)
+            sys = newton_step(pt, theta)
             if sys is None:
                 return None
             grad, delta = sys
@@ -299,56 +293,37 @@ def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
             # objective over theta, lambda^2 = -grad.delta / theta, is small
             if -float(grad @ delta) / theta <= _CENTRED:
                 break
-            g0 = y[0] + theta * ld
-            alpha = 1.0
-            improved = False
-            for _ in range(40):
-                y_try = y + alpha * delta
-                F_try = F_of(y_try)
-                ld_try = neg_logdet(F_try)
-                if ld_try is not None and y_try[0] + theta * ld_try < g0 + 1e-18:
-                    y, F, ld, fac = y_try, F_try, ld_try, None
-                    improved = True
-                    break
-                alpha /= 2.0
             steps += 1
-            if not improved or np.linalg.norm(alpha * delta) < 1e-14 * max(
-                1.0, np.linalg.norm(y)
-            ):
+            g0 = pt.y[0] + theta * pt.ld
+            for k in range(40):
+                trial = point(pt.y + 0.5**k * delta)
+                if trial.ld is not None and trial.y[0] + theta * trial.ld < g0 + 1e-18:
+                    break
+            else:  # no decrease in 40 halvings ends the stage
                 break
+            pt = trial
     # final centering: the x-gradient norm is, to leading order, the
     # relative infeasibility of the dual candidate P12, so drive it down
-    # directly with damped Newton steps instead of a value line search
-    best_P = None
-    best_gx = np.inf
+    # directly with full Newton steps and keep the best inverse seen
+    best_P, best_gx = None, np.inf
     for _ in range(14):
-        fac = fac or factors(F)
-        sys = fac and newton_step(fac, theta_min)
+        sys = newton_step(pt, theta_min)
         if sys is None:
             break
         grad, delta = sys
         gx = float(np.linalg.norm(grad[1:]))
         if gx < best_gx:
-            best_gx = gx
-            best_P = fac[0]
+            best_P, best_gx = pt.factors[0], gx
         if gx <= 1e-9:
             break
-        alpha = 1.0
-        moved = False
-        for _ in range(30):
-            y_try = y + alpha * delta
-            F_try = F_of(y_try)
-            if neg_logdet(F_try) is not None:
-                y, F, fac = y_try, F_try, None
-                moved = True
-                break
-            alpha /= 2.0
         steps += 1
-        if not moved:
+        trial = point(pt.y + delta)
+        if trial.ld is None:
             break
+        pt = trial
     if best_P is None:
         return None
-    x = y[1 : 1 + d] + 1j * y[1 + d :]
+    x = pt.y[1 : 1 + d] + 1j * pt.y[1 + d :]
     return x, steps, best_P[:n, n:]
 
 

@@ -151,6 +151,8 @@ def test_dist_member_is_zero_with_projection_witness():
 
 
 def test_dist_report_invariants():
+    # generic T, and near-member T = s (a + eps E) for a in V at small and
+    # large scales, where the barrier starts near or at the optimum
     rng = np.random.default_rng(13)
     X = np.random.default_rng(14).standard_normal((6, 6)) + 0j
     blocks = X.copy()
@@ -162,15 +164,20 @@ def test_dist_report_invariants():
     ]
     for A in algebras:
         n = A.ambient_dim
-        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rep = dist_opnorm(T, A.space, CFG)
-        scale = max(1.0, op_norm(T))
-        assert 0.0 <= rep.lower_bound <= rep.value <= rep.upper_bound
-        assert rep.converged
-        assert rep.gap <= 1e-6 * scale
-        # witness is the approximant: it lies in the subspace and attains value
-        assert A.space.residual(rep.witness) < 1e-8
-        assert abs(op_norm(T - rep.witness) - rep.value) < 1e-10
+        Ts = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))]
+        a = A.space.random_element(rng)
+        E = random_matrix(rng, n)
+        E /= op_norm(E)
+        Ts += [s * (a + eps * E) for eps in (0.0, 1e-9, 1e-6) for s in (1e-3, 1e3)]
+        for T in Ts:
+            rep = dist_opnorm(T, A.space, CFG)
+            scale = max(1.0, op_norm(T))
+            assert 0.0 <= rep.lower_bound <= rep.value <= rep.upper_bound
+            assert rep.converged
+            assert rep.gap <= 1e-6 * scale
+            # witness is the approximant: it lies in the subspace and attains value
+            assert A.space.residual(rep.witness) < 1e-8
+            assert abs(op_norm(T - rep.witness) - rep.value) < 1e-10
 
 
 def test_dist_barrier_failure_is_uncertified_projection(monkeypatch):
@@ -845,8 +852,8 @@ def test_restarts_drawn_once_per_model_leak_no_state():
 
 
 def test_barrier_factorizes_each_accepted_point_once(monkeypatch):
-    # the line search's accepted trial hands its matrix and log-det on, so
-    # no Cholesky factorization is repeated on the same matrix
+    # each barrier point is one record of its matrix, log-det and factors,
+    # made once, so no Cholesky factorization is repeated on the same matrix
     seen = []
     real = np.linalg.cholesky
 
@@ -864,6 +871,44 @@ def test_barrier_factorizes_each_accepted_point_once(monkeypatch):
         assert rep.converged and rep.iterations > 0
         assert len(seen) > rep.iterations
         assert len(set(seen)) == len(seen)
+
+
+def test_final_centering_step_off_the_cone_ends_it(monkeypatch):
+    # make the Cholesky test fail on the last point of a first run, a full
+    # final-centering step: the centering ends on the point before, whose
+    # x is the witness, and the failed point's inverse gives no certificate
+    real = np.linalg.cholesky
+    seen = []
+
+    def recorded(F):
+        seen.append(np.array(F))
+        if len(seen) == fail_at:
+            raise np.linalg.LinAlgError("off the cone")
+        return real(F)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    n = 5
+    A = diagonal_algebra(n)
+    T = random_matrix(np.random.default_rng(1), n)
+    fail_at = 0
+    first = dist_opnorm(T, A.space, CFG)
+    fail_at, first_last = len(seen), seen[-1]
+    seen.clear()
+    rep = dist_opnorm(T, A.space, CFG)
+
+    def bound_at(F):
+        P = np.linalg.inv(F)
+        return seminorms._bound_from_Z(T, A.space, ((P + P.conj().T) / 2.0)[:n, n:])
+
+    # the first run's certificate came from its last point, and the second
+    # run took the same path up to the failed step
+    assert first.converged and first.lower_bound == bound_at(first_last)
+    assert len(seen) == fail_at and rep.iterations == first.iterations
+    np.testing.assert_allclose(T - rep.witness, seen[-2][:n, n:], rtol=0, atol=1e-14)
+    assert rep.lower_bound != bound_at(seen[-1])
+    assert 0.0 < rep.lower_bound <= rep.value
+    assert A.space.residual(rep.witness) < 1e-8
+    assert abs(op_norm(T - rep.witness) - rep.value) < 1e-12
 
 
 def test_barrier_stage_stop_matches_the_four_step_path(monkeypatch):
