@@ -95,7 +95,10 @@ def block_layout(blocks) -> list:
     off + b*m + j.  For each block the returned (s, s, m) integer array
     holds at [a, b, j] the position row * n + column of that entry in the
     flattened matrix, so E_ab tensor I_m is one at the m positions [a, b].
+    Raises InvalidInputError for a block size or multiplicity below 1.
     """
+    if any(s < 1 or m < 1 for s, m in blocks):
+        raise InvalidInputError(f"block sizes and multiplicities must be >= 1, got {blocks}")
     n = sum(s * m for s, m in blocks)
     table, off = [], 0
     for s, m in blocks:
@@ -110,21 +113,25 @@ def block_algebra(blocks, unitary=None) -> MatrixAlgebra:
 
     The stored basis is the normalized matrix units E_ab tensor I_m / sqrt(m),
     block by block and row-major in (a, b), which is already
-    Hilbert-Schmidt orthonormal.
+    Hilbert-Schmidt orthonormal.  A unitary with ||U* U - I||_F above
+    eq_tol n is refused, since both flags would then be false promises.
     """
     blocks = tuple((int(s), int(m)) for s, m in blocks)
     n = sum(s * m for s, m in blocks)
     if not 1 <= n <= DIM_CAP:
         raise ResourceLimitError(f"ambient dimension {n} outside [1, {DIM_CAP}]")
+    table = block_layout(blocks)
     units = np.zeros((sum(s * s for s, _ in blocks), n * n), dtype=np.complex128)
     at = 0
-    for (s, m), pos in zip(blocks, block_layout(blocks)):
+    for (s, m), pos in zip(blocks, table):
         rows = at + np.arange(s * s)[:, None]
         units[rows, pos.reshape(s * s, m)] = 1.0 / np.sqrt(m)
         at += s * s
     basis = units.reshape(-1, n, n)
     if unitary is not None:
         U = as_matrix(unitary, dim=n)
+        if np.linalg.norm(U.conj().T @ U - np.eye(n)) > DEFAULT_CONFIG.eq_tol * n:
+            raise InvalidInputError("block_algebra needs a unitary change of basis")
         basis = U @ basis @ U.conj().T
     return MatrixAlgebra(OperatorSubspace(n, basis), True, True)
 

@@ -36,14 +36,13 @@ _REDRAWS = 5
 class BlockStructure:
     """Unitary U and block sizes with U* A U = direct sum of M_s tensor I_m.
 
-    The blocks of one shape (s, m) form a group whose unitaries are held as
-    one (..., K, s, s) array.  For the k-th block of group g,
-    positions[g][k] is that block's block_layout table: [a, b, j] is the
-    flat position of entry (a, b) on multiplicity copy j.  So u tensor I_m
-    lands in place with one fancy-index assignment and a block partial
-    trace is one gather.  directions spans the Hermitian part of the block
-    algebra modulo the identity, the tangent directions of the seminorm
-    ascent's Newton steps.
+    polar, expi and direction_matrices take and give (R, n, n) stacks in
+    the adapted basis.  Inside, the blocks of one shape (s, m) form a group
+    held as one (..., K, s, s) array, factorized in one batched call.  For
+    the k-th block of group g, positions[g][k] is that block's block_layout
+    table: [a, b, j] is the flat position of entry (a, b) on multiplicity
+    copy j.  So u tensor I_m lands in place with one fancy-index
+    assignment and a block partial trace is one gather.
     """
 
     ambient_dim: int
@@ -53,8 +52,7 @@ class BlockStructure:
     positions: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        U = as_matrix(self.unitary, dim=self.ambient_dim)
-        U = np.array(U)
+        U = np.array(as_matrix(self.unitary, dim=self.ambient_dim))
         U.flags.writeable = False
         object.__setattr__(self, "unitary", U)
         object.__setattr__(self, "blocks", tuple((int(s), int(m)) for s, m in self.blocks))
@@ -77,11 +75,10 @@ class BlockStructure:
     def assemble(self, Us) -> np.ndarray:
         """(R, n, n) direct sums of u tensor I_m from per-group (R, K, s, s) unitaries."""
         n = self.ambient_dim
-        R = Us[0].shape[0]
-        out = np.zeros((R, n * n), dtype=np.complex128)
+        out = np.zeros((len(Us[0]), n * n), dtype=np.complex128)
         for idx, u in zip(self.positions, Us):
             out[:, idx] = u[..., None]
-        return out.reshape(R, n, n)
+        return out.reshape(-1, n, n)
 
     def block_traces(self, X: np.ndarray) -> list:
         """Per-group (R, K, s, s) partial traces over multiplicity of (R, n, n) X."""
@@ -93,36 +90,65 @@ class BlockStructure:
         traces = self.block_traces(X)
         return self.assemble([t / self.blocks[ks[0]][1] for t, ks in zip(traces, self.members)])
 
-    @cached_property
-    def directions(self) -> list:
-        """Hermitian directions of the block algebra, per group, as (p, K, s, s) arrays.
+    def polar(self, X: np.ndarray) -> np.ndarray:
+        """(R, n, n) unitaries U of the block algebra maximizing Re tr(U X).
 
-        p = sum s^2 - 1.  Block by block, group by group, the units
-        (E_ab + E_ba)/sqrt 2 and i (E_ab - E_ba)/sqrt 2 for a < b, then E_aa.
+        Block by block that is the u maximizing Re tr(u Y) for the block's
+        partial trace Y = P S Q*, namely (P Q*)*; for s = 1 it is
+        conj(y)/|y| (1 where y = 0, as the SVD gives).
+        """
+        out = []
+        for Y in self.block_traces(X):
+            if Y.shape[-1] == 1:
+                mag = np.abs(Y)
+                out.append(np.where(mag > 0, Y.conj() / np.where(mag > 0, mag, 1.0), 1.0))
+            else:
+                P, _, Qh = np.linalg.svd(Y)
+                out.append(np.conj(np.swapaxes(P @ Qh, -1, -2)))
+        return self.assemble(out)
+
+    def expi(self, H: np.ndarray) -> np.ndarray:
+        """exp(i H) for an (R, n, n) Hermitian stack H in the block algebra.
+
+        Each block's factor is read off its first multiplicity copy and
+        exponentiated by one batched eigh per group (exp(i h) for s = 1).
+        """
+        Hf = H.reshape(H.shape[0], self.ambient_dim**2)
+        out = []
+        for idx in self.positions:
+            Y = Hf[:, idx[..., 0]]
+            if Y.shape[-1] == 1:
+                out.append(np.exp(1j * Y.real))
+            else:
+                vals, vecs = np.linalg.eigh(Y)
+                out.append((vecs * np.exp(1j * vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2)))
+        return self.assemble(out)
+
+    @cached_property
+    def direction_matrices(self) -> np.ndarray:
+        """Hermitian directions of the block algebra as one (p, n, n) stack.
+
+        p = sum s^2 - 1.  Group by group and block by block, u tensor I_m
+        for the units u = (E_ab + E_ba)/sqrt 2 and i (E_ab - E_ba)/sqrt 2
+        for a < b, then E_aa, written straight into the positions table.
         The very last E_aa is left out: the rest span a complement of the
         identity, the one direction along which exp(i t H) moves a unitary
         only by a global phase.  Built on first use.
         """
-        p, off, out = self.algebra_dim, 0, []
-        for ks in self.members:
-            s = self.blocks[ks[0]][0]
+        n, off = self.ambient_dim, 0
+        D = np.zeros((self.algebra_dim, n * n), dtype=np.complex128)
+        for idx in self.positions:
+            K, s = idx.shape[:2]
             a, b = np.triu_indices(s, 1)
             r, q = np.arange(a.size), a.size
             unit = np.zeros((s * s, s, s), dtype=np.complex128)
             unit[r, a, b] = unit[r, b, a] = np.sqrt(0.5)
             unit[q + r, a, b], unit[q + r, b, a] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
             unit[2 * q + np.arange(s), np.arange(s), np.arange(s)] = 1.0
-            D = np.zeros((p, len(ks), s, s), dtype=np.complex128)
-            for k in range(len(ks)):
-                D[off : off + s * s, k] = unit
-                off += s * s
-            out.append(D[:-1])
-        return out
-
-    @cached_property
-    def direction_matrices(self) -> np.ndarray:
-        """The directions as one (p, n, n) stack of n x n matrices."""
-        return self.assemble(self.directions)
+            rows = off + np.arange(K * s * s).reshape(K, s * s, 1, 1, 1)
+            D[rows, idx[:, None]] = unit[None, ..., None]
+            off += K * s * s
+        return D[:-1].reshape(-1, n, n)
 
 
 def _generic_selfadjoint(space: OperatorSubspace, rng) -> np.ndarray:

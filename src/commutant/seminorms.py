@@ -26,15 +26,13 @@ Two optimization problems live here:
   directions for Newton steps, polar steps run to the stall.  The phases
   run in lockstep, all polar rounds first, and the iterations count both
   kinds of round.  The value is the best restart's.
-  The blocks of one shape (s, m) are factorized together: their unitaries
-  are held as one stacked array, so each polar step is one batched s x s
-  SVD and each Newton step one batched eigh per block shape
-  (closed forms for s = 1), and assembly writes into precomputed flat
-  positions.  A polar step before the Newton steps does not decompose the
-  n x n commutators it produces: two power steps from the previous left
-  singular vector track their top singular pair, which keeps the ascent
-  monotone, and the ascent ends with one batched singular-value call for
-  the exact norms.
+  Each restart is one row of an (R, n, n) array of block unitaries in the
+  adapted basis; BlockStructure.polar and .expi make its polar and Newton
+  steps with one batched SVD or eigh per block shape.  A polar step
+  before the Newton steps does not decompose the n x n commutators it
+  produces: two power steps from the previous left singular vector track
+  their top singular pair, which keeps the ascent monotone, and the ascent
+  ends with one batched singular-value call for the exact norms.
   The sup over contractions is attained on unitaries because the objective
   is convex and the unitaries are the extreme points of the unit ball of a
   finite-dimensional C*-algebra.  Every unitary of the commutant commutes
@@ -365,26 +363,6 @@ def dist_opnorm(
 # derivation seminorm
 
 
-def _polar_unitaries(Y: np.ndarray) -> np.ndarray:
-    """Unitaries u maximizing Re tr(u Y) for a (..., s, s) stack Y.
-
-    For s = 1 that is conj(y)/|y| (1 where y = 0, as the SVD gives).
-    """
-    if Y.shape[-1] == 1:
-        mag = np.abs(Y)
-        return np.where(mag > 0, Y.conj() / np.where(mag > 0, mag, 1.0), 1.0)
-    P, _, Qh = np.linalg.svd(Y)
-    return np.conj(np.swapaxes(P @ Qh, -1, -2))
-
-
-def _expi(H: np.ndarray) -> np.ndarray:
-    """exp(i H) for a (..., s, s) Hermitian stack."""
-    if H.shape[-1] == 1:
-        return np.exp(1j * H.real)
-    vals, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(1j * vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-
-
 def _power_steps(F: np.ndarray, w: np.ndarray):
     """_POWER_STEPS power steps on each F of an (R, n, n) stack from left vectors w.
 
@@ -460,11 +438,11 @@ def _cholesky_ok(M: np.ndarray) -> np.ndarray:
     return np.ones(len(M), dtype=bool)
 
 
-def _newton_steps(Tt, st: BlockStructure, Us, svd, damp=1.0):
+def _newton_steps(Tt, st: BlockStructure, Ub, svd, damp=1.0):
     """Riemannian Newton steps U -> U exp(i sum_k h_k D_k) on the commutant's unitaries.
 
-    svd is the SVD of the (R, n, n) commutators of the per-group unitaries
-    Us, and the D_k are st.directions.  h solves (mu - H) h = g
+    svd is the SVD of the (R, n, n) commutators of the (R, n, n) unitaries
+    Ub, and the D_k are st.direction_matrices.  h solves (mu - H) h = g
     (_ascent_derivatives) with the Levenberg-Marquardt shift
     mu = damp ||g||: it keeps the step short where H is only semidefinite,
     as at the scalars' maxima, which are not isolated for n >= 4, and a
@@ -472,17 +450,16 @@ def _newton_steps(Tt, st: BlockStructure, Us, svd, damp=1.0):
     step.  A row's step is valid only where its top singular value is
     simple ((s_1 - s_2) > _SIMPLE_GAP s_1) and mu - H is positive definite
     (its Cholesky factorization exists); elsewhere h is 0.  Returns
-    (candidate Us, valid, predicted gain g.h / 2).
+    (candidate Ub, valid, predicted gain g.h / 2).
     """
     s = svd[1]
     R, p = len(s), st.algebra_dim - 1
     h, gain = np.zeros((R, p)), np.zeros(R)
     ok = s[:, 0] - s[:, 1] > _SIMPLE_GAP * s[:, 0]
     rows = np.flatnonzero(ok)
+    D = st.direction_matrices
     if rows.size:
-        D = st.direction_matrices
-        Ub = st.assemble([u[rows] for u in Us])
-        g, H = _ascent_derivatives(Tt, D, Ub, [x[rows] for x in svd])
+        g, H = _ascent_derivatives(Tt, D, Ub[rows], [x[rows] for x in svd])
         mu = np.linalg.norm(g, axis=1) * np.broadcast_to(damp, R)[rows]
         shift = mu + 1e-13 * np.maximum(1.0, s[rows, 0])
         H -= shift[:, None, None] * np.eye(p)
@@ -491,20 +468,16 @@ def _newton_steps(Tt, st: BlockStructure, Us, svd, damp=1.0):
         rows, g = rows[nd], g[nd]
         h[rows] = np.linalg.solve(-H[nd], g[:, :, None])[:, :, 0]
         gain[rows] = 0.5 * np.sum(g * h[rows], axis=1)
-    if not ok.any():
-        return [u.copy() for u in Us], ok, gain
-    steps = [(h @ d.reshape(p, -1)).reshape((R,) + d.shape[1:]) for d in st.directions]
-    return [u @ _expi(x) for u, x in zip(Us, steps)], ok, gain
+    return Ub @ st.expi((h @ D.reshape(p, -1)).reshape(Ub.shape)), ok, gain
 
 
 def _polar_steps(Tt, st: BlockStructure, w, u):
-    """Per-group unitaries maximizing Re <w, F(U) u> for (R, n) singular pairs (w, u)."""
+    """(R, n, n) unitaries maximizing Re <w, F(U) u> for (R, n) singular pairs (w, u)."""
     b, c = u @ Tt.T, w @ Tt.conj()
-    X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
-    return [_polar_unitaries(Y) for Y in st.block_traces(X)]
+    return st.polar(b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :])
 
 
-def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
+def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Ub):
     """Monotone ascent run on all restarts at once: polar steps, then Newton steps.
 
     A polar step re-aligns a restart's block unitaries with its current
@@ -530,15 +503,11 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
     every restart still in the polar phase, then Newton rounds every
     switched one still running, at most _MAX_ITERS rounds in all.  The
     ascent ends with one batched singular-value call and returns the exact
-    norms ||F||, so restarts are ranked by exact values.  Us holds one
-    (R, K, s, s) array per block shape and is updated in place.  Returns
-    (norms, Us, rounds, capped), where capped says the ascent stopped at
-    _MAX_ITERS with a restart still gaining.
+    norms ||F||, so restarts are ranked by exact values.  Ub holds one
+    restart's block unitary per row of an (R, n, n) array and is updated in
+    place.  Returns (norms, Ub, rounds, capped), where capped says the
+    ascent stopped at _MAX_ITERS with a restart still gaining.
     """
-
-    def commutators(Us):
-        Ub = st.assemble(Us)
-        return Ub @ Tt - Tt @ Ub
 
     def stalls(rows, old, new):
         gained = new > old + 1e-13 * np.maximum(1.0, old)
@@ -548,8 +517,8 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
     # with too many directions for Newton steps the polar steps run to the end
     newton_ok = st.algebra_dim - 1 <= _NEWTON_MAX_DIRECTIONS
     switch = _NEWTON_FROM * max(1.0, op_norm(Tt)) if newton_ok else -np.inf
-    R = Us[0].shape[0]
-    Wl, sv, Vh = np.linalg.svd(commutators(Us))
+    R = len(Ub)
+    Wl, sv, Vh = np.linalg.svd(Ub @ Tt - Tt @ Ub)
     sigma = sv[:, 0].copy()
     w = Wl[:, :, 0].copy()
     u = Vh[:, 0, :].conj()
@@ -560,18 +529,17 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
     while iters < _MAX_ITERS and (rows := np.flatnonzero((stall < 2) & ~newton)).size:
         iters += 1
         new = _polar_steps(Tt, st, w[rows], u[rows])
-        sig_new, w_new, u_new = _power_steps(commutators(new), w[rows])
+        sig_new, w_new, u_new = _power_steps(new @ Tt - Tt @ new, w[rows])
         old = sigma[rows]
         keep = sig_new >= old
         stalls(rows, old, sig_new)
-        for x, q in zip(Us, new):
-            x[rows[keep]] = q[keep]
+        Ub[rows[keep]] = new[keep]
         sigma[rows[keep]] = sig_new[keep]
         moved = keep & (sig_new > 0)
         w[rows[moved]], u[rows[moved]] = w_new[moved], u_new[moved]
         slow = rows[(sig_new - old < switch) & (stall[rows] < 2)]
         if slow.size:
-            Wl[slow], sv[slow], Vh[slow] = np.linalg.svd(commutators([x[slow] for x in Us]))
+            Wl[slow], sv[slow], Vh[slow] = np.linalg.svd(Ub[slow] @ Tt - Tt @ Ub[slow])
             sigma[slow], w[slow], u[slow] = sv[slow, 0], Wl[slow, :, 0], Vh[slow, 0, :].conj()
             newton[slow] = True
     retry = np.zeros(R, dtype=bool)
@@ -582,10 +550,10 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
         iters += 1
         polar = rows[retry[rows]]
         rows = rows[~retry[rows]]
-        cand = []
+        cand = Ub[:0]
         if rows.size:
             svd = (Wl[rows], sv[rows], Vh[rows])
-            stepped, ok, gain = _newton_steps(Tt, st, [x[rows] for x in Us], svd, damp[rows])
+            stepped, ok, gain = _newton_steps(Tt, st, Ub[rows], svd, damp[rows])
             # a valid step that predicts a gain within the stall tolerance
             # (its Newton decrement) leaves nothing to gain: the row is done
             done = ok & (gain <= 1e-13 * np.maximum(1.0, sigma[rows]))
@@ -593,14 +561,13 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
             damp[rows[~ok]] = np.minimum(damp[rows[~ok]] * 10.0, 1e8)
             polar = np.concatenate([polar, rows[~ok]])
             go = ok & ~done
-            rows, cand = rows[go], [x[go] for x in stepped]
+            rows, cand = rows[go], stepped[go]
         if polar.size:
-            pol = _polar_steps(Tt, st, w[polar], u[polar])
-            cand = [np.concatenate([c, q]) for c, q in zip(cand, pol)] if rows.size else pol
+            cand = np.concatenate([cand, _polar_steps(Tt, st, w[polar], u[polar])])
         k, rows = rows.size, np.concatenate([rows, polar])
         if rows.size:
             old = sigma[rows]
-            W2, s2, V2 = np.linalg.svd(commutators(cand))
+            W2, s2, V2 = np.linalg.svd(cand @ Tt - Tt @ cand)
             keep = s2[:, 0] >= old
             # Levenberg-Marquardt damping: tenfold up after an invalid or a
             # falling Newton step, tenfold down to 1 after a rising one
@@ -611,12 +578,11 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Us):
             retry[rows[keep]] = False
             stalls(rows, old, np.where(keep, s2[:, 0], old))
             up = rows[keep]
-            for x, c in zip(Us, cand):
-                x[up] = c[keep]
+            Ub[up] = cand[keep]
             Wl[up], sv[up], Vh[up] = W2[keep], s2[keep], V2[keep]
             sigma[up], w[up], u[up] = s2[keep, 0], W2[keep, :, 0], V2[keep, 0, :].conj()
-    norms = np.linalg.svd(commutators(Us), compute_uv=False)[:, 0]
-    return norms, Us, iters, bool((stall < 2).any())
+    norms = np.linalg.svd(Ub @ Tt - Tt @ Ub, compute_uv=False)[:, 0]
+    return norms, Ub, iters, bool((stall < 2).any())
 
 
 def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
@@ -671,18 +637,18 @@ def _contraction_sup(T, model: CommutantModel, cfg: NumericConfig):
     return float(max(0.0, val.max()))
 
 
-def _restarts(model: CommutantModel, cfg: NumericConfig) -> list:
-    """Copies of the model's seeded restarts (the ascent updates them in place).
+def _restarts(model: CommutantModel, cfg: NumericConfig) -> np.ndarray:
+    """A copy of the model's (R, n, n) seeded restarts (the ascent updates them in place).
 
-    Restart r, drawn on first use, is the per-block polar factors of the
-    Ginibre matrix from cfg.rng(205, r), whichever basis wedderburn chose.
+    Restart r, drawn on first use, is the block polar factor of the Ginibre
+    matrix from cfg.rng(205, r), whichever basis wedderburn chose.
     """
     key = (cfg.rng_seed, cfg.opt_restarts)
     if key not in model.restarts:
         st, W = model.structure, model.structure.unitary
         G = np.stack([random_matrix(cfg.rng(205, r), st.ambient_dim) for r in range(key[1])])
-        model.restarts[key] = [_polar_unitaries(Y) for Y in st.block_traces(W.conj().T @ G @ W)]
-    return [x.copy() for x in model.restarts[key]]
+        model.restarts[key] = st.polar(W.conj().T @ G @ W)
+    return model.restarts[key].copy()
 
 
 def derivation_seminorm(
@@ -732,12 +698,12 @@ def derivation_seminorm(
         return _report(0.0, np.eye(n, dtype=np.complex128), 0.0, 0.0, 0, scale, details)
     W = st.unitary
     Tt = W.conj().T @ Tm @ W
-    sigma, Us, iters, caps = _polar_phase_batch(Tt, st, _restarts(model, cfg))
+    sigma, Ub, iters, caps = _polar_phase_batch(Tt, st, _restarts(model, cfg))
     best = np.argsort(-sigma)[0]
     value = float(sigma[best])
     details["restart_consensus"] = int(np.sum(value - sigma <= _GAP_TOL * scale))
     details["polar_cap_hits"] = int(caps)
-    witness = W @ st.assemble([u[best : best + 1] for u in Us])[0] @ W.conj().T
+    witness = W @ Ub[best] @ W.conj().T
     # every U in the commutant commutes with A'', so ||UT - TU|| <= 2 ||T - a||
     if compute_upper:
         upper = 2.0 * dist_opnorm(Tm, model.bicommutant.space, cfg).value
@@ -772,8 +738,7 @@ def sampling_seminorm_bound(
     done = 0
     while done < num_samples:
         batch = min(chunk, num_samples - done)
-        draws = [haar_unitaries(rng, s, batch) for s, _ in st.blocks]
-        Ub = st.assemble(st.group(draws))
+        Ub = st.assemble(st.group([haar_unitaries(rng, s, batch) for s, _ in st.blocks]))
         F = Ub @ Tt - Tt @ Ub
         svals = np.linalg.svd(F, compute_uv=False)
         best = max(best, float(svals[:, 0].max()))

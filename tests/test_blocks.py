@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from commutant import algebra as algebra_module
 from commutant import blocks as blocks_module
@@ -346,6 +349,106 @@ class TestBlockStructureValidation:
     def test_size_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             BlockStructure(5, np.eye(5), ((2, 1), (1, 1)))
+
+    @pytest.mark.parametrize("blocks", [((2, 0), (1, 1)), ((0, 3), (1, 1)), ((2, -1), (3, 1))])
+    def test_block_sizes_below_one_rejected(self, blocks):
+        # ((2, 0), (1, 1)) sums to n = 1: it must not pass as a 5-dimensional
+        # algebra of M_1 with zero basis elements, nor divide by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (
+                lambda: block_layout(blocks),
+                lambda: block_algebra(blocks),
+                lambda: BlockStructure(1, np.eye(1), blocks),
+            ):
+                with pytest.raises(InvalidInputError):
+                    build()
+
+    def test_block_algebra_refuses_a_non_unitary_change_of_basis(self):
+        rng = np.random.default_rng(51)
+        U = haar_unitary(rng, 3)
+        # within eq_tol n of unitary is accepted, as _check_structure does
+        block_algebra(((2, 1), (1, 1)), U * (1.0 + 1e-9))
+        for bad in (2.0 * np.eye(3), U + 1e-3 * random_matrix(rng, 3)):
+            with pytest.raises(InvalidInputError):
+                block_algebra(((2, 1), (1, 1)), bad)
+
+
+def structure_cases():
+    """(algebra, its BlockStructure) pairs: the stock algebras, Haar-rotated
+    blocks from wedderburn, and an unsorted block list with its shapes
+    interleaved, passed straight to BlockStructure."""
+    rng = np.random.default_rng(52)
+    cases = [(A, wedderburn(A, CFG)) for A in (full_matrix_algebra(3), diagonal_algebra(4), scalar_algebra(3))]
+    for blocks in (((2, 2), (1, 3), (3, 1)), ((2, 1), (2, 1), (1, 2))):
+        A = random_block_star_algebra(rng, blocks)
+        cases.append((A, wedderburn(A, CFG)))
+    blocks = ((1, 2), (2, 1), (1, 1), (2, 1), (1, 2))
+    U = haar_unitary(rng, 9)
+    cases.append((block_algebra(blocks, U), BlockStructure(9, U, blocks)))
+    return cases
+
+
+def kron_block_matrices(blocks, per_block):
+    """Reference: (R, n, n) direct sums of u (x) I_m from per-block (R, s, s) stacks."""
+    return np.stack(
+        [block_diag(*[np.kron(u[r], np.eye(m)) for u, (_, m) in zip(per_block, blocks)])
+         for r in range(len(per_block[0]))]
+    )
+
+
+class TestBlockStructureMethods:
+    @pytest.mark.parametrize("case", range(6))
+    def test_direction_matrices_span_the_hermitian_part_modulo_identity(self, case):
+        A, st = structure_cases()[case]
+        n, W = st.ambient_dim, st.unitary
+        D = st.direction_matrices
+        assert D.shape == (st.algebra_dim - 1, n, n)
+        assert np.array_equal(D, D.conj().transpose(0, 2, 1))
+        assert (A.space.residuals(W @ D @ W.conj().T) <= 1e-10).all()
+        cuts = np.cumsum([s * m for s, m in st.blocks])[:-1]
+        for Dk in D:
+            # u (x) I_m on exactly one block, with ||u||_F = 1
+            parts = [Dk[sl, sl] for sl in map(slice, np.r_[0, cuts], np.r_[cuts, n])]
+            assert np.array_equal(block_diag(*parts), Dk)
+            live = [k for k, P in enumerate(parts) if P.any()]
+            assert len(live) == 1
+            s, m = st.blocks[live[0]]
+            u = parts[live[0]].reshape(s, m, s, m)[:, 0, :, 0]
+            assert np.array_equal(parts[live[0]], np.kron(u, np.eye(m)))
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
+        # with I, a real basis of the algebra's Hermitian part
+        full = np.concatenate([np.eye(n)[None], D]).reshape(len(D) + 1, -1)
+        assert np.linalg.matrix_rank(np.hstack([full.real, full.imag])) == st.algebra_dim
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_polar_is_the_best_block_unitary(self, case):
+        A, st = structure_cases()[case]
+        rng = np.random.default_rng(53 + case)
+        n, W = st.ambient_dim, st.unitary
+        X = np.stack([random_matrix(rng, n) for _ in range(3)])
+        U = st.polar(X)
+        assert np.abs(U @ U.conj().transpose(0, 2, 1) - np.eye(n)).max() <= 1e-12
+        assert A.space.residuals(W @ U @ W.conj().T).max() <= 1e-10
+        V = kron_block_matrices(st.blocks, [haar_unitaries(rng, s, 200) for s, _ in st.blocks])
+        for x, u in zip(X, U):
+            best = np.real(np.trace(u @ x))
+            others = np.real(np.einsum("rij,ji->r", V, x))
+            assert (others <= best + 1e-12 * np.linalg.norm(x)).all()
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_expi_matches_a_per_block_eigh_reference(self, case):
+        A, st = structure_cases()[case]
+        rng = np.random.default_rng(59 + case)
+        n = st.ambient_dim
+        h = [np.stack([random_hermitian(rng, s) for _ in range(3)]) for s, _ in st.blocks]
+        ref = []
+        for hk in h:
+            vals, vecs = np.linalg.eigh(hk)
+            ref.append((vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
+        E = st.expi(kron_block_matrices(st.blocks, h))
+        assert np.abs(E @ E.conj().transpose(0, 2, 1) - np.eye(n)).max() <= 1e-12
+        assert np.abs(E - kron_block_matrices(st.blocks, ref)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -483,10 +483,9 @@ def test_seminorm_beats_haar_sampling_oracle():
             assert (dn.value - oracle) / dn.value <= 0.02
 
 
-def _svd_polar_phase_batch(Tt, st, Us):
+def _svd_polar_phase_batch(Tt, st, Ub):
     """Reference polar phase: a full SVD of every new commutator stack."""
-    R = Us[0].shape[0]
-    Ub = st.assemble(Us)
+    R = len(Ub)
     UU, sv, Vh = np.linalg.svd(Ub @ Tt - Tt @ Ub)
     sigma, w, u = sv[:, 0], UU[:, :, 0], Vh[:, 0, :].conj()
     stall = np.zeros(R, dtype=int)
@@ -495,8 +494,7 @@ def _svd_polar_phase_batch(Tt, st, Us):
         b = np.einsum("ij,rj->ri", Tt, u)
         c = np.einsum("ji,rj->ri", Tt.conj(), w)
         X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
-        new = [seminorms._polar_unitaries(Y) for Y in st.block_traces(X)]
-        Ub_new = st.assemble(new)
+        Ub_new = st.polar(X)
         UU, sv, Vh = np.linalg.svd(Ub_new @ Tt - Tt @ Ub_new)
         sig_new = sv[:, 0]
         iters += 1
@@ -504,12 +502,11 @@ def _svd_polar_phase_batch(Tt, st, Us):
         keep = sig_new >= sigma
         stall[gained] = 0
         stall[~gained] += 1
-        for old, nw in zip(Us, new):
-            old[keep] = nw[keep]
+        Ub[keep] = Ub_new[keep]
         sigma = np.where(keep, sig_new, sigma)
         w[keep] = UU[keep, :, 0]
         u[keep] = Vh[keep, 0, :].conj()
-    return sigma, Us, iters, bool((stall < 2).any())
+    return sigma, Ub, iters, bool((stall < 2).any())
 
 
 def _sweep_algebras(n, rng):
@@ -590,10 +587,10 @@ def test_polar_cap_hits_count_phases_stopped_at_the_cap(monkeypatch):
     assert rep.details["polar_cap_hits"] == 1
 
 
-def _no_newton(Tt, st, Us, svd, damp=1.0):
+def _no_newton(Tt, st, Ub, svd, damp=1.0):
     """A _newton_steps stand-in whose every step is invalid."""
     R = len(svd[1])
-    return [u.copy() for u in Us], np.zeros(R, dtype=bool), np.zeros(R)
+    return Ub.copy(), np.zeros(R, dtype=bool), np.zeros(R)
 
 
 def _expi(H, t):
@@ -614,7 +611,7 @@ def test_ascent_derivatives_match_central_differences():
         assert len(D) == st.algebra_dim - 1
         Tt = random_matrix(rng, n)
         G = np.stack([random_matrix(rng, n) for _ in range(3)])
-        Ub = st.assemble([seminorms._polar_unitaries(Y) for Y in st.block_traces(G)])
+        Ub = st.polar(G)
         g, H = seminorms._ascent_derivatives(Tt, D, Ub, np.linalg.svd(Ub @ Tt - Tt @ Ub))
         for r, U in enumerate(Ub):
             g_tol = 1e-6 * max(1.0, np.abs(g[r]).max())
@@ -631,11 +628,10 @@ def test_ascent_derivatives_match_central_differences():
                 assert abs((fp - 2.0 * f0 + fm) / t**2 - curve) <= h_tol, (kind, k, l)
 
 
-def _polar_only_phase_batch(Tt, st, Us):
+def _polar_only_phase_batch(Tt, st, Ub):
     """The polar phase without Newton steps: power-tracked polar steps on
     every restart until all of them stall."""
-    R = Us[0].shape[0]
-    Ub = st.assemble(Us)
+    R = len(Ub)
     UU, sv, Vh = np.linalg.svd(Ub @ Tt - Tt @ Ub)
     sigma, w, u = sv[:, 0], UU[:, :, 0], Vh[:, 0, :].conj()
     stall = np.zeros(R, dtype=int)
@@ -644,27 +640,24 @@ def _polar_only_phase_batch(Tt, st, Us):
         b = np.einsum("ij,rj->ri", Tt, u)
         c = np.einsum("ji,rj->ri", Tt.conj(), w)
         X = b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :]
-        new = [seminorms._polar_unitaries(Y) for Y in st.block_traces(X)]
-        Ub_new = st.assemble(new)
+        Ub_new = st.polar(X)
         sig_new, w_new, u_new = seminorms._power_steps(Ub_new @ Tt - Tt @ Ub_new, w)
         iters += 1
         gained = sig_new > sigma + 1e-13 * np.maximum(1.0, sigma)
         keep = sig_new >= sigma
         stall[gained] = 0
         stall[~gained] += 1
-        for old, nw in zip(Us, new):
-            old[keep] = nw[keep]
+        Ub[keep] = Ub_new[keep]
         sigma = np.where(keep, sig_new, sigma)
         moved = keep & (sig_new > 0)
         w[moved] = w_new[moved]
         u[moved] = u_new[moved]
-    Ub = st.assemble(Us)
     norms = np.linalg.svd(Ub @ Tt - Tt @ Ub, compute_uv=False)[:, 0]
-    return norms, Us, iters, bool((stall < 2).any())
+    return norms, Ub, iters, bool((stall < 2).any())
 
 
 def _restart_states(model, T, cfg):
-    """T in the adapted basis and derivation_seminorm's seeded restarts."""
+    """T in the adapted basis and derivation_seminorm's seeded (R, n, n) restarts."""
     W = model.structure.unitary
     return W.conj().T @ T @ W, seminorms._restarts(model, cfg)
 
@@ -690,8 +683,8 @@ def test_value_is_the_best_restart_of_the_one_ascent(monkeypatch):
             with monkeypatch.context() as m:
                 if forced:
                     m.setattr(seminorms, "_newton_steps", _no_newton)
-                Tt, Us = _restart_states(model, T, CFG)
-                norms = real(Tt, st, Us)[0]
+                Tt, Ub = _restart_states(model, T, CFG)
+                norms = real(Tt, st, Ub)[0]
                 rep = derivation_seminorm(T, D4, M4, CFG, model, compute_upper=False)
             assert rep.value == norms.max()
             assert abs(op_norm(rep.witness @ T - T @ rep.witness) - rep.value) < 1e-10
@@ -716,13 +709,13 @@ def test_newton_finish_matches_the_polar_only_phase(monkeypatch):
             for _ in range(3):
                 T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 scale = max(1.0, op_norm(T))
-                Tt, Us = _restart_states(model, T, CFG)
-                ref = _polar_only_phase_batch(Tt, st, [u.copy() for u in Us])[0]
-                new, _, _, capped = seminorms._polar_phase_batch(Tt, st, [u.copy() for u in Us])
+                Tt, Ub = _restart_states(model, T, CFG)
+                ref = _polar_only_phase_batch(Tt, st, Ub.copy())[0]
+                new, _, _, capped = seminorms._polar_phase_batch(Tt, st, Ub.copy())
                 assert (new >= ref - 1e-12 * scale).all() and not capped, (kind, n)
                 with monkeypatch.context() as m:
                     m.setattr(seminorms, "_newton_steps", _no_newton)
-                    fallback = seminorms._polar_phase_batch(Tt, st, [u.copy() for u in Us])[0]
+                    fallback = seminorms._polar_phase_batch(Tt, st, Ub.copy())[0]
                 # a row stops after two steps under the 1e-13 stall tolerance,
                 # where the reference steps it on while another row gains
                 assert fallback.max() >= ref.max() - 1e-9 * scale, (kind, n)
@@ -765,7 +758,7 @@ def test_newton_rounds_count_toward_the_cap(monkeypatch):
     assert max(rounds) == 3 and rep.details["polar_cap_hits"] >= 1
 
 
-def _logged_ascent(monkeypatch, Tt, st, Us, newton=None):
+def _logged_ascent(monkeypatch, Tt, st, Ub, newton=None):
     """Run _polar_phase_batch and log its step calls in order.
 
     Each _polar_steps call logs ("Q", rows), each _power_steps call
@@ -786,14 +779,14 @@ def _logged_ascent(monkeypatch, Tt, st, Us, newton=None):
         m.setattr(seminorms, "_power_steps", logged("P", seminorms._power_steps, lambda a: a[1]))
         newton = newton or seminorms._newton_steps
         m.setattr(seminorms, "_newton_steps", logged("N", newton, lambda a: a[3][1]))
-        rounds = seminorms._polar_phase_batch(Tt, st, Us)[2]
+        rounds = seminorms._polar_phase_batch(Tt, st, Ub)[2]
     return rounds, events
 
 
-def _done_newton(Tt, st, Us, svd, damp=1.0):
+def _done_newton(Tt, st, Ub, svd, damp=1.0):
     """A _newton_steps stand-in whose every step is valid and predicts no gain."""
     R = len(svd[1])
-    return [u.copy() for u in Us], np.ones(R, dtype=bool), np.zeros(R)
+    return Ub.copy(), np.ones(R, dtype=bool), np.zeros(R)
 
 
 def test_ascent_runs_polar_then_newton_rounds_in_lockstep(monkeypatch):
@@ -807,8 +800,8 @@ def test_ascent_runs_polar_then_newton_rounds_in_lockstep(monkeypatch):
         model = commutant_model(_sweep_algebras(n, rng)[kind], full_matrix_algebra(n), CFG)
         st = model.structure
         T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        Tt, Us = _restart_states(model, T, CFG)
-        _, events = _logged_ascent(monkeypatch, Tt, st, [u.copy() for u in Us])
+        Tt, Ub = _restart_states(model, T, CFG)
+        _, events = _logged_ascent(monkeypatch, Tt, st, Ub.copy())
         first = [e[0] for e in events].index("N")
         assert events[first] == ("N", CFG.opt_restarts), (n, kind)
         assert all(e[0] != "P" for e in events[first:]), (n, kind)
@@ -817,7 +810,7 @@ def test_ascent_runs_polar_then_newton_rounds_in_lockstep(monkeypatch):
         polar = [rows for tag, rows in events if tag == "P"]
         assert polar[0] == CFG.opt_restarts and len(set(polar)) > 2, (n, kind)
         # with every Newton step done at once, the Newton rounds are one call
-        rounds, events = _logged_ascent(monkeypatch, Tt, st, [u.copy() for u in Us], _done_newton)
+        rounds, events = _logged_ascent(monkeypatch, Tt, st, Ub.copy(), _done_newton)
         assert [e for e in events if e[0] != "P"][-1:] == [("N", CFG.opt_restarts)], (n, kind)
         assert [e[0] for e in events].count("N") == 1
         assert rounds == len(polar) + 1, (n, kind)
