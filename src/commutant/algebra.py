@@ -33,6 +33,7 @@ closure stops as soon as the span is all of M_n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,20 @@ class MatrixAlgebra:
         return self.space.basis
 
 
+def block_shapes(blocks) -> tuple:
+    """blocks as (s, m) int pairs; InvalidInputError unless each is an integer >= 1.
+
+    operator.index refuses 2.7 and 2.0 alike, where int() would truncate.
+    """
+    try:
+        shapes = tuple((operator.index(s), operator.index(m)) for s, m in blocks)
+    except TypeError:
+        shapes = None
+    if shapes is None or any(s < 1 or m < 1 for s, m in shapes):
+        raise InvalidInputError(f"block sizes and multiplicities must be integers >= 1, got {blocks}")
+    return shapes
+
+
 def block_layout(blocks) -> list:
     """Flat positions of the blocks of (+) M_s tensor I_m in an n x n matrix.
 
@@ -95,10 +110,9 @@ def block_layout(blocks) -> list:
     off + b*m + j.  For each block the returned (s, s, m) integer array
     holds at [a, b, j] the position row * n + column of that entry in the
     flattened matrix, so E_ab tensor I_m is one at the m positions [a, b].
-    Raises InvalidInputError for a block size or multiplicity below 1.
+    Raises InvalidInputError for blocks that block_shapes refuses.
     """
-    if any(s < 1 or m < 1 for s, m in blocks):
-        raise InvalidInputError(f"block sizes and multiplicities must be >= 1, got {blocks}")
+    blocks = block_shapes(blocks)
     n = sum(s * m for s, m in blocks)
     table, off = [], 0
     for s, m in blocks:
@@ -116,7 +130,7 @@ def block_algebra(blocks, unitary=None) -> MatrixAlgebra:
     Hilbert-Schmidt orthonormal.  A unitary with ||U* U - I||_F above
     eq_tol n is refused, since both flags would then be false promises.
     """
-    blocks = tuple((int(s), int(m)) for s, m in blocks)
+    blocks = block_shapes(blocks)
     n = sum(s * m for s, m in blocks)
     if not 1 <= n <= DIM_CAP:
         raise ResourceLimitError(f"ambient dimension {n} outside [1, {DIM_CAP}]")

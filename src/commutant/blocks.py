@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 # block_algebra is not used here: perfbench calls it as commutant.blocks.block_algebra
-from .algebra import MatrixAlgebra, _clusters, block_algebra, block_layout
+from .algebra import MatrixAlgebra, _clusters, block_algebra, block_layout, block_shapes
 from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig, StructureError
 from .linalg import OperatorSubspace, as_matrix, orthonormalize
 
@@ -55,7 +55,7 @@ class BlockStructure:
         U = np.array(as_matrix(self.unitary, dim=self.ambient_dim))
         U.flags.writeable = False
         object.__setattr__(self, "unitary", U)
-        object.__setattr__(self, "blocks", tuple((int(s), int(m)) for s, m in self.blocks))
+        object.__setattr__(self, "blocks", block_shapes(self.blocks))
         if sum(s * m for s, m in self.blocks) != self.ambient_dim:
             raise InvalidInputError("block sizes do not sum to the ambient dimension")
         table, members = block_layout(self.blocks), {}

@@ -4,13 +4,13 @@ Two optimization problems live here:
 
 * dist_opnorm minimizes ||T - a|| over a in a subspace.  That is convex in
   the coefficients, and its epigraph t I >= [[0, M], [M*, 0]] is a linear
-  matrix inequality, so one log-det barrier path from the projection of T
-  solves it.  Each stage of the path backtracks its Newton steps until the
-  barrier objective falls and ends once its Newton decrement is small; the
-  final centering takes full Newton steps, each checked to stay on the
-  cone.  The barrier's final inverse also yields the certificate: its
-  off-diagonal block, projected off the subspace and scaled to unit
-  nuclear norm, pairs with T to give a lower bound on the distance.
+  matrix inequality, so one primal-dual path (HKM directions with
+  Mehrotra's predictor-corrector) from the projection of T solves it.
+  Every iterate carries a dual matrix X whose off-diagonal block,
+  projected off the subspace and scaled to unit nuclear norm, pairs with
+  T to give a lower bound on the distance, and the path stops on that
+  certificate: once the bracket between ||T - a|| and the best bound seen
+  is closed to 1e-10 relative, or once the bound stops improving.
 
 * the derivation seminorm sup ||UT - TU|| over unitaries U commuting with
   an algebra.  The commutant's unitary group is a product of block unitary
@@ -55,7 +55,6 @@ relative to max(1, ||T||).
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,9 +73,17 @@ from .linalg import (
 )
 
 _GAP_TOL = 1e-6
-# a barrier stage ends once its Newton decrement lambda^2 is at most this
-# (Boyd & Vandenberghe, Convex Optimization, sections 9.5 and 11.3)
-_CENTRED = 0.1
+# the distance's primal-dual path: each step goes _PD_STEP of the way to the
+# cone boundary, and the corrector centres with sigma = (mu_aff / mu)^3.  The
+# path stops once its certified bracket is at most _PD_CLOSE max(1, ||T||),
+# after _PD_STALL checks in a row with no better bound, or after
+# _PD_MAX_ITERS iterations; over 2,055 seeded calls at n = 2..10 the bracket
+# closed on every one, in 9.9 iterations on average and at most 15
+_PD_STEP = 0.9
+_PD_SIGMA_POWER = 3
+_PD_CLOSE = 1e-10
+_PD_STALL = 3
+_PD_MAX_ITERS = 50
 _ZERO_DN = 1e-8
 # rounds per ascent, polar and Newton rounds on one counter; above the Newton
 # cap the polar steps converge only linearly, and at 400 rounds a Haar-rotated
@@ -190,10 +197,10 @@ def _model_for(A, ambient, cfg, model) -> CommutantModel:
 
 def _bound_from_Z(T, V: OperatorSubspace, Z: np.ndarray) -> float:
     """Valid lower bound from any dual candidate: project off V, renormalize."""
-    # the barrier's centring gives tr(B_k* Z) ~ 0, so Z itself is the
-    # candidate orthogonal to V; its adjoint is orthogonal to V* instead,
-    # and in sweeps over scalars, masas and (*-)polynomial algebras at
-    # n = 2..6 it never gave the larger bound
+    # a dual iterate's X_12 is orthogonal to V up to the residual the path
+    # pulls back, so Z itself is the candidate; its adjoint is orthogonal to
+    # V* instead, and in sweeps over scalars, masas and (*-)polynomial
+    # algebras at n = 2..6 it never gave the larger bound
     Wp = Z - V.project(Z)
     nn = float(np.linalg.svd(Wp, compute_uv=False).sum())
     if nn <= 1e-14:
@@ -201,128 +208,92 @@ def _bound_from_Z(T, V: OperatorSubspace, Z: np.ndarray) -> float:
     return abs(float(np.real(np.vdot(Wp, np.asarray(T))))) / nn
 
 
-@dataclass
-class _BarrierPoint:
-    """One barrier iterate: y, F(y), -log det F (None off the cone) and F's
-    factors, made by the first Newton step from it; theta does not enter."""
+def _primal_dual_solve(T, V: OperatorSubspace, x0: np.ndarray, scale: float):
+    """Primal-dual path for min_x ||T - sum x_k B_k|| with its dual certificate.
 
-    y: np.ndarray
-    F: np.ndarray
-    ld: float | None
-    factors: tuple | None = None
+    The primal is the linear matrix inequality
+    S(y) = t I - [[0, M], [M*, 0]] >= 0 in y = (t, Re x, Im x), with
+    M = T - sum x_k B_k; its dual is X >= 0 with tr X = 1 and X_12
+    orthogonal to V, of value 2 Re <T, X_12> (Vandenberghe & Boyd, SIAM
+    Review 38, 1996).  The path starts at x0 with t above ||M|| and at the
+    exactly feasible X = I / 2n.  Each iteration factors X and S with one
+    stacked Cholesky call, solves the HKM Schur complement
+    Re tr(G_i X G_j S^-1) (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
+    Optim. 6, 1996) for a predictor and then a corrector with
+    sigma = (mu_aff / mu)^3 (Mehrotra, SIAM J. Optim. 2, 1992), and steps
+    X and y each _PD_STEP of the way to their cone's boundary.  Its
+    right-hand side carries the dual residual, so X does not drift off
+    its affine set.
 
-
-def _barrier_solve(vecT, stack, n: int, x0: np.ndarray, scale: float):
-    """Primal barrier method for min_x ||T - sum x_k B_k||.
-
-    The epigraph form t I >= [[0, M], [M*, 0]] is a linear matrix
-    inequality, so the standard log-det barrier applies; Newton systems are
-    tiny.  Each stage of the path (one theta) takes at most four Newton
-    steps, halved until the barrier objective falls, and ends early once
-    the Newton decrement is at most _CENTRED.  The final centering takes
-    full Newton steps, which stay in the Dikin ellipsoid of a centred point
-    and so on the cone (Nesterov & Nemirovskii, 1994); one whose point fails
-    the Cholesky test all the same ends it.  Returns (x, newton_steps, P12),
-    P12 the off-diagonal block of the centering's barrier inverse with the
-    least x-gradient, an almost exactly feasible dual candidate.
+    Once tr(XS) <= _GAP_TOL scale, every iterate's bracket is checked:
+    ||M|| against the best _bound_from_Z of the X_12 so far.  The path
+    stops when that bracket is at most _PD_CLOSE scale, after _PD_STALL
+    checks in a row with no better bound, on a failed factorization or
+    after _PD_MAX_ITERS iterations.  Returns (x, iterations, lower): the
+    last factored x, the iterations that led to it and the best bound, 0
+    if none was checked (x0, 0 and 0 if the first point fails).
     """
-    d = stack.shape[0]
-    eye = np.eye(2 * n, dtype=np.complex128)
-    Bs = stack.reshape(d, n, n)
-    Bh = Bs.conj().transpose(0, 2, 1)
-    dFs = np.zeros((1 + 2 * d, *eye.shape), dtype=np.complex128)
-    dFs[0] = eye
-    dFs[1 : 1 + d, :n, n:] = -Bs
-    dFs[1 : 1 + d, n:, :n] = -Bh
-    dFs[1 + d :, :n, n:] = -1j * Bs
-    dFs[1 + d :, n:, :n] = 1j * Bh
-    m = dFs.shape[0]
-    dF_rows = dFs.reshape(m, -1)
+    n, m = V.ambient_dim, 1 + 2 * V.dim
+    # C = [[0, T], [T*, 0]] and the directions G_i = dS / dy_i
+    G = np.zeros((1 + m, 2 * n, 2 * n), dtype=np.complex128)
+    G[:, :n, n:] = np.concatenate([[T, 0 * T], V.basis, 1j * V.basis])
+    G += G.conj().transpose(0, 2, 1)
+    G[1] = np.eye(2 * n)
+    C, G = G[0], G[1:]
+    Gr = G.reshape(m, -1)
+    c = np.eye(m)[0]  # the primal objective is t = c . y
 
-    def point(y):
-        x = y[1 : 1 + d] + 1j * y[1 + d :]
-        M = (vecT - stack.T @ x).reshape(n, n)
-        F = y[0] * eye
-        F[:n, n:] += M
-        F[n:, :n] += M.conj().T
-        ld = None
-        with suppress(np.linalg.LinAlgError):
-            L = np.linalg.cholesky(F)
-            ld = -2.0 * float(np.sum(np.log(np.real(np.diag(L)))))
-        return _BarrierPoint(y, F, ld)
+    def direction(H, X, Si, sigma_mu, R):
+        """Newton direction (dy, dS, dX) to XS = sigma_mu I, R = dX_aff dS_aff S^-1.
 
-    def newton_step(pt, theta):
-        """Gradient and Newton step of y[0] + theta * (-log det F) at pt, or None."""
+        With K = sigma_mu S^-1 - R, H dy = A(K) - c for A(K) = Re tr(G_i K)
+        makes A(X + dX) = c, so the dual residual is pulled back too.
+        """
+        K = sigma_mu * Si - R
+        dy = np.linalg.solve(H, np.real(Gr @ K.T.ravel()) - c)
+        dS = (dy @ Gr).reshape(C.shape)
+        dX = K - X - X @ dS @ Si
+        return dy, dS, (dX + dX.conj().T) / 2.0
+
+    def to_boundary(Linv, dX, dS):
+        """Steps _PD_STEP of the way to the boundary of X's and S's cones, at most 1."""
+        D = Linv @ np.stack([dX, dS]) @ Linv.conj().transpose(0, 2, 1)
+        lam = np.linalg.eigvalsh(D)[:, 0]
+        return np.minimum(1.0, _PD_STEP / np.maximum(-lam, np.finfo(float).tiny))
+
+    t0 = op_norm(T - np.tensordot(x0, V.basis, 1))
+    y = np.concatenate([[t0 + 0.05 * scale + 1e-8], x0.real, x0.imag])
+    X = np.eye(2 * n) / (2 * n)
+    x, iters, best, stale = x0, 0, 0.0, 0
+    for it in range(_PD_MAX_ITERS + 1):
         try:
-            if pt.factors is None:
-                # F's inverse P and the traces tr(P dF_a) and Re tr(P dF_a P dF_b)
-                P = np.linalg.inv(pt.F)
-                P = (P + P.conj().T) / 2.0
-                Q = P @ dFs
-                gram = np.real(Q.reshape(m, -1) @ np.swapaxes(Q, 1, 2).reshape(m, -1).T)
-                pt.factors = P, np.real(dF_rows @ P.T.ravel()), gram
-            _, traces, gram = pt.factors
-            grad = -theta * traces
-            grad[0] += 1.0
-            H = theta * gram
-            H.flat[:: m + 1] += 1e-13 * max(1.0, theta)
-            return grad, np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            return None
-
-    t0 = float(np.linalg.svd((vecT - stack.T @ x0).reshape(n, n), compute_uv=False)[0])
-    pt = point(np.concatenate([[t0 + 0.05 * scale + 1e-8], x0.real, x0.imag]))
-    steps = 0
-    theta = 0.1 * scale
-    # the central point at theta lies at most 2n * theta above the optimum,
-    # so 1e-10 * scale leaves ~1e-9 * scale at n <= 6, well inside the 1e-6
-    # certificate.  Going further buys nothing: at 1e-11 F is so near
-    # singular that the dual candidate P12 degrades, and the largest
-    # certified gap over n = 2..10 grew tenfold, to 4e-7 * scale.
-    theta_min = 1e-10 * scale
-    while theta > theta_min:
-        theta = max(theta * 0.15, theta_min)
-        for _ in range(4):
-            sys = newton_step(pt, theta)
-            if sys is None:
-                return None
-            grad, delta = sys
-            # the stage ends once the Newton decrement of the barrier
-            # objective over theta, lambda^2 = -grad.delta / theta, is small
-            if -float(grad @ delta) / theta <= _CENTRED:
-                break
-            steps += 1
-            g0 = pt.y[0] + theta * pt.ld
-            for k in range(40):
-                trial = point(pt.y + 0.5**k * delta)
-                if trial.ld is not None and trial.y[0] + theta * trial.ld < g0 + 1e-18:
+            S = (y @ Gr).reshape(C.shape) - C
+            L = np.linalg.cholesky(np.stack([X, S]))
+            x, iters = y[1 : 1 + V.dim] + 1j * y[1 + V.dim :], it
+            gap = float(np.real(np.vdot(X, S)))
+            if gap <= _GAP_TOL * scale:
+                lower = _bound_from_Z(T, V, X[:n, n:])
+                stale = 0 if lower > best else stale + 1
+                best = max(best, lower)
+                value = op_norm(T - np.tensordot(x, V.basis, 1))
+                if value - best <= _PD_CLOSE * scale or stale >= _PD_STALL:
                     break
-            else:  # no decrease in 40 halvings ends the stage
+            if it == _PD_MAX_ITERS:
                 break
-            pt = trial
-    # final centering: the x-gradient norm is, to leading order, the
-    # relative infeasibility of the dual candidate P12, so drive it down
-    # directly with full Newton steps and keep the best inverse seen
-    best_P, best_gx = None, np.inf
-    for _ in range(14):
-        sys = newton_step(pt, theta_min)
-        if sys is None:
+            Linv = np.linalg.inv(L)
+            Si = Linv[1].conj().T @ Linv[1]
+            H = np.real((G @ X).reshape(m, -1) @ np.swapaxes(G @ Si, 1, 2).reshape(m, -1).T)
+            dy, dS, dX = direction(H, X, Si, 0.0, 0.0)
+            a_d, a_p = to_boundary(Linv, dX, dS)
+            gap_aff = float(np.real(np.vdot(X + a_d * dX, S + a_p * dS)))
+            sigma_mu = (gap_aff / gap) ** _PD_SIGMA_POWER * gap / (2 * n)
+            dy, dS, dX = direction(H, X, Si, sigma_mu, dX @ dS @ Si)
+            a_d, a_p = to_boundary(Linv, dX, dS)
+        except np.linalg.LinAlgError:
             break
-        grad, delta = sys
-        gx = float(np.linalg.norm(grad[1:]))
-        if gx < best_gx:
-            best_P, best_gx = pt.factors[0], gx
-        if gx <= 1e-9:
-            break
-        steps += 1
-        trial = point(pt.y + delta)
-        if trial.ld is None:
-            break
-        pt = trial
-    if best_P is None:
-        return None
-    x = pt.y[1 : 1 + d] + 1j * pt.y[1 + d :]
-    return x, steps, best_P[:n, n:]
+        X = X + a_d * dX
+        y = y + a_p * dy
+    return x, iters, best
 
 
 def dist_opnorm(
@@ -330,15 +301,17 @@ def dist_opnorm(
 ) -> DistanceReport:
     """Operator-norm distance from T to the subspace V.
 
-    One log-det barrier path, started from the projection of T, gives the
-    approximant: the report's witness lies in V and its value is
-    ||T - witness||, an upper bound on the distance.  lower_bound is the
-    dual certificate from the barrier's final inverse, and converged means
-    the certified gap between the two is at most 1e-6 relative to
-    max(1, ||T||).  If the barrier breaks down, the report carries the
-    projection of T as witness and lower_bound 0, so it is converged only
-    when that value is itself within the tolerance.  cfg is accepted for a
-    uniform signature; the barrier needs no settings.
+    One primal-dual path (_primal_dual_solve), started from the projection
+    of T, gives the approximant: the report's witness lies in V and its
+    value is ||T - witness||, an upper bound on the distance.  lower_bound
+    is the dual certificate from the best dual iterate of the path, and
+    converged means the certified gap between the two is at most 1e-6
+    relative to max(1, ||T||).  iterations counts the primal-dual
+    iterations that led to the witness.  If the path cannot factor its
+    first point, the report carries the projection of T as witness and
+    lower_bound 0, so it is converged only when that value is itself within
+    the tolerance.  cfg is accepted for a uniform signature; the path needs
+    no settings.
     """
     A = as_matrix(T, dim=V.ambient_dim)
     n = V.ambient_dim
@@ -346,15 +319,8 @@ def dist_opnorm(
     if V.dim == 0:
         val = op_norm(A)
         return _report(val, np.zeros((n, n)), val, val, 0, scale)
-    stack = V.stack
-    x0 = stack.conj() @ A.ravel()
-    out = _barrier_solve(A.ravel(), stack, n, x0, scale)
-    if out is None:
-        x, iterations, lower = x0, 0, 0.0
-    else:
-        x, iterations, P12 = out
-        lower = _bound_from_Z(A, V, P12)
-    witness = (stack.T @ x).reshape(n, n)
+    x, iterations, lower = _primal_dual_solve(A, V, V.stack.conj() @ A.ravel(), scale)
+    witness = np.tensordot(x, V.basis, 1)
     val = op_norm(A - witness)
     return _report(val, witness, min(lower, val), val, iterations, scale)
 

@@ -364,6 +364,21 @@ class TestBlockStructureValidation:
                 with pytest.raises(InvalidInputError):
                     build()
 
+    @pytest.mark.parametrize(
+        "blocks", [((2.7, 1), (1, 1.9)), ((2.0, 1), (1, 1)), ((2, 1), (1, np.float64(1.0))), (("2", 1),)]
+    )
+    def test_non_integer_block_sizes_rejected(self, blocks):
+        # int() would truncate ((2.7, 1), (1, 1.9)) to the 5-dimensional
+        # M_2 (+) M_1; a size must be an integer, not a float of any value
+        for build in (
+            lambda: block_layout(blocks),
+            lambda: block_algebra(blocks),
+            lambda: BlockStructure(3, np.eye(3), blocks),
+        ):
+            with pytest.raises(InvalidInputError):
+                build()
+        assert block_algebra(((np.int64(2), 1), (1, np.int32(1)))).dim == 5
+
     def test_block_algebra_refuses_a_non_unitary_change_of_basis(self):
         rng = np.random.default_rng(51)
         U = haar_unitary(rng, 3)

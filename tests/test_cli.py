@@ -240,7 +240,11 @@ def test_failed_closure_check_exits_three(capsys, monkeypatch, tmp_path):
 
 
 def test_uncertified_distance_exits_three(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr("commutant.seminorms._barrier_solve", lambda *args: None)
+    # the distance path cannot factor its first point: an uncertified projection
+    def off_the_cone(F):
+        raise np.linalg.LinAlgError("off the cone")
+
+    monkeypatch.setattr(np.linalg, "cholesky", off_the_cone)
     T = np.random.default_rng(16).standard_normal((3, 3))
     tpath = write_json(tmp_path / "t.json", matrix_to_json(T))
     code, out = run_cli(capsys, "dist", "--t", tpath, "--space", "diag:3")

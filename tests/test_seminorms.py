@@ -152,7 +152,7 @@ def test_dist_member_is_zero_with_projection_witness():
 
 def test_dist_report_invariants():
     # generic T, and near-member T = s (a + eps E) for a in V at small and
-    # large scales, where the barrier starts near or at the optimum
+    # large scales, where the path starts near or at the optimum
     rng = np.random.default_rng(13)
     X = np.random.default_rng(14).standard_normal((6, 6)) + 0j
     blocks = X.copy()
@@ -181,12 +181,17 @@ def test_dist_report_invariants():
 
 
 def test_dist_barrier_failure_is_uncertified_projection(monkeypatch):
-    monkeypatch.setattr(seminorms, "_barrier_solve", lambda *args: None)
+    # a path that cannot factor its first point reports the projection of T
+    def off_the_cone(F):
+        raise np.linalg.LinAlgError("off the cone")
+
+    monkeypatch.setattr(np.linalg, "cholesky", off_the_cone)
     rng = np.random.default_rng(15)
     T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     D4 = diagonal_algebra(4)
     rep = dist_opnorm(T, D4.space, CFG)
-    assert not rep.converged
+    np.testing.assert_allclose(rep.witness, D4.space.project(T), rtol=0, atol=1e-14)
+    assert not rep.converged and rep.iterations == 0
     assert 0.0 <= rep.lower_bound <= rep.value
     assert D4.space.residual(rep.witness) < 1e-8
     assert abs(op_norm(T - rep.witness) - rep.value) < 1e-12
@@ -844,87 +849,124 @@ def test_restarts_drawn_once_per_model_leak_no_state():
             assert list(model.restarts) == [(CFG.rng_seed, CFG.opt_restarts)]
 
 
-def test_barrier_factorizes_each_accepted_point_once(monkeypatch):
-    # each barrier point is one record of its matrix, log-det and factors,
-    # made once, so no Cholesky factorization is repeated on the same matrix
-    seen = []
+def _traced_dist(T, V, fail_at=None, bound=seminorms._bound_from_Z):
+    """dist_opnorm's report, every stack np.linalg.cholesky got and every bound checked.
+
+    The stacks are the (2, 2n, 2n) arrays [X, S] in call order, and call
+    fail_at (1-based) raises LinAlgError.  The checks are (Z, bound) pairs
+    in call order, with bound(T, V, Z) in place of _bound_from_Z.
+    """
+    stacks, checks = [], []
     real = np.linalg.cholesky
 
-    def counted(F):
-        seen.append(np.asarray(F).tobytes())
-        return real(F)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
-    rng = np.random.default_rng(33)
-    for A in (scalar_algebra(3), diagonal_algebra(4)):
-        n = A.ambient_dim
-        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        seen.clear()
-        rep = dist_opnorm(T, A.space, CFG)
-        assert rep.converged and rep.iterations > 0
-        assert len(seen) > rep.iterations
-        assert len(set(seen)) == len(seen)
-
-
-def test_final_centering_step_off_the_cone_ends_it(monkeypatch):
-    # make the Cholesky test fail on the last point of a first run, a full
-    # final-centering step: the centering ends on the point before, whose
-    # x is the witness, and the failed point's inverse gives no certificate
-    real = np.linalg.cholesky
-    seen = []
-
-    def recorded(F):
-        seen.append(np.array(F))
-        if len(seen) == fail_at:
+    def factored(F):
+        stacks.append(np.array(F))
+        if len(stacks) == fail_at:
             raise np.linalg.LinAlgError("off the cone")
         return real(F)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recorded)
-    n = 5
-    A = diagonal_algebra(n)
-    T = random_matrix(np.random.default_rng(1), n)
-    fail_at = 0
-    first = dist_opnorm(T, A.space, CFG)
-    fail_at, first_last = len(seen), seen[-1]
-    seen.clear()
-    rep = dist_opnorm(T, A.space, CFG)
+    def checked(T, V, Z):
+        checks.append((np.array(Z), bound(T, V, Z)))
+        return checks[-1][1]
 
-    def bound_at(F):
-        P = np.linalg.inv(F)
-        return seminorms._bound_from_Z(T, A.space, ((P + P.conj().T) / 2.0)[:n, n:])
-
-    # the first run's certificate came from its last point, and the second
-    # run took the same path up to the failed step
-    assert first.converged and first.lower_bound == bound_at(first_last)
-    assert len(seen) == fail_at and rep.iterations == first.iterations
-    np.testing.assert_allclose(T - rep.witness, seen[-2][:n, n:], rtol=0, atol=1e-14)
-    assert rep.lower_bound != bound_at(seen[-1])
-    assert 0.0 < rep.lower_bound <= rep.value
-    assert A.space.residual(rep.witness) < 1e-8
-    assert abs(op_norm(T - rep.witness) - rep.value) < 1e-12
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "cholesky", factored)
+        m.setattr(seminorms, "_bound_from_Z", checked)
+        rep = dist_opnorm(T, V, CFG)
+    return rep, stacks, checks
 
 
-def test_barrier_stage_stop_matches_the_four_step_path(monkeypatch):
-    # with _CENTRED = -inf no stage ends on its Newton decrement, so each
-    # takes up to four steps: the barrier path without the decrement test,
-    # step for step
-    rng = np.random.default_rng(38)
-    steps = {"new": 0, "full": 0}
-    for n in range(2, 9):
-        algebras = [scalar_algebra(n), diagonal_algebra(n)]
-        if n >= 3:
-            algebras.append(block_algebra(((2, 1), (1, n - 2)), haar_unitary(rng, n)))
-        for A in algebras:
-            T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            new = dist_opnorm(T, A.space, CFG)
-            with monkeypatch.context() as m:
-                m.setattr(seminorms, "_CENTRED", -np.inf)
-                full = dist_opnorm(T, A.space, CFG)
-            assert new.converged and full.converged
-            assert abs(new.value - full.value) <= 1e-12 * max(1.0, op_norm(T))
-            steps["new"] += new.iterations
-            steps["full"] += full.iterations
-    assert steps["new"] < steps["full"]
+def _path_inputs():
+    rng = np.random.default_rng(41)
+    return [
+        (A, random_matrix(rng, A.ambient_dim))
+        for A in (
+            scalar_algebra(3),
+            diagonal_algebra(5),
+            block_algebra(((2, 1), (1, 2)), haar_unitary(rng, 4)),
+            generate_algebra([random_matrix(rng, 4)], CFG),
+        )
+    ]
+
+
+def test_primal_dual_factors_each_iterate_once():
+    # one stacked Cholesky call factors X and S of each iterate, and no
+    # stack is factored twice
+    for A, T in _path_inputs():
+        n = A.ambient_dim
+        rep, stacks, _ = _traced_dist(T, A.space)
+        assert rep.converged and rep.iterations > 0
+        assert len(stacks) == rep.iterations + 1
+        assert all(F.shape == (2, 2 * n, 2 * n) for F in stacks)
+        assert len({F.tobytes() for F in stacks}) == len(stacks)
+
+
+def test_primal_dual_stops_at_the_first_closed_bracket():
+    # the bracket is checked at each iterate with tr(XS) <= 1e-6 scale:
+    # ||T - x|| against the best bound so far.  The path ends at the first
+    # check where that is at most 1e-10 scale, and at no earlier one
+    for A, T in _path_inputs():
+        n = A.ambient_dim
+        scale = max(1.0, op_norm(T))
+        rep, stacks, checks = _traced_dist(T, A.space)
+        X12 = [X[:n, n:] for X, _ in stacks]
+        at = [next(k for k, Z in enumerate(X12) if np.array_equal(Z, c)) for c, _ in checks]
+        gaps = [float(np.real(np.vdot(X, S))) for X, S in stacks]
+        assert at == [k for k, g in enumerate(gaps) if g <= 1e-6 * scale]
+        # S's off-diagonal block is -(T - x)
+        best = np.maximum.accumulate([b for _, b in checks])
+        brackets = [op_norm(stacks[k][1][:n, n:]) - b for k, b in zip(at, best)]
+        assert at[-1] == len(stacks) - 1
+        assert brackets[-1] <= 1e-10 * scale < min(brackets[:-1], default=np.inf)
+        assert rep.lower_bound == best[-1] and rep.gap <= 1e-10 * scale
+
+
+def test_primal_dual_stops_after_three_checks_without_a_better_bound():
+    # bounds capped 1e-8 scale below the distance never close the bracket
+    # to 1e-10 scale.  The second check bounds 0, and each check after the
+    # first capped one bounds 1e-9 lower than the one before: the path stops
+    # at the third check in a row with no better bound, counted from the
+    # last better one, and certifies with the best bound, not the last
+    for A, T in _path_inputs():
+        n = A.ambient_dim
+        scale = max(1.0, op_norm(T))
+        cap = dist_opnorm(T, A.space, CFG).value - 1e-8 * scale
+        low, given = [cap], []
+
+        def capped(T, V, Z, real=seminorms._bound_from_Z):
+            b = 0.0 if len(given) == 1 else real(T, V, Z)
+            if b >= low[0]:
+                b, low[0] = low[0], low[0] - 1e-9
+            given.append(b)
+            return b
+
+        rep, stacks, checks = _traced_dist(T, A.space, bound=capped)
+        first = given.index(cap)
+        assert given[1] == 0.0 < given[0] and first >= 2
+        assert len(given) == first + 4 and max(given[first + 1 :]) < cap
+        assert np.array_equal(checks[-1][0], stacks[-1][0][:n, n:])
+        assert rep.lower_bound == cap and rep.converged
+
+
+def test_failed_factorization_ends_the_path():
+    # the Cholesky test fails on the point where a first run's bracket
+    # closed: the path ends on the point before, whose x is the witness,
+    # and the certificate is the best bound checked before the failure,
+    # not the failed point's
+    for A, T in _path_inputs():
+        n = A.ambient_dim
+        first, stacks, _ = _traced_dist(T, A.space)
+        failed_bound = seminorms._bound_from_Z(T, A.space, stacks[-1][0][:n, n:])
+        assert first.lower_bound == failed_bound
+        rep, seen, checks = _traced_dist(T, A.space, fail_at=len(stacks))
+        assert len(seen) == len(stacks) and rep.iterations == first.iterations - 1
+        for a, b in zip(seen, stacks):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(T - rep.witness, -seen[-2][1][:n, n:], rtol=0, atol=1e-14)
+        assert rep.lower_bound == max(b for _, b in checks) < failed_bound
+        assert 0.0 < rep.lower_bound <= rep.value
+        assert A.space.residual(rep.witness) < 1e-8
+        assert abs(op_norm(T - rep.witness) - rep.value) < 1e-12
 
 
 def test_non_selfadjoint_algebra_reports_contraction_sup():
