@@ -25,7 +25,6 @@ from .algebra import (
 )
 from .blocks import (
     BlockStructure,
-    minimal_central_projections,
     twirl_expectation,
     wedderburn,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "kn_lower_estimate",
     "matrix_from_json",
     "matrix_to_json",
-    "minimal_central_projections",
     "op_norm",
     "orthonormalize",
     "paired_copies_report",

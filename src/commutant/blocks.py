@@ -227,21 +227,6 @@ def wedderburn(A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> BlockSt
     raise StructureError("no draw gave a certified block structure")
 
 
-def minimal_central_projections(
-    A: MatrixAlgebra, cfg: NumericConfig = DEFAULT_CONFIG
-) -> list:
-    """Minimal projections of the center of a selfadjoint unital algebra.
-
-    These are the projections onto the column groups of wedderburn's
-    blocks; a factor gives exactly the identity.
-    """
-    st = wedderburn(A, cfg)
-    if len(st.blocks) == 1:
-        return [np.eye(st.ambient_dim, dtype=np.complex128)]
-    cuts = np.cumsum([s * m for s, m in st.blocks])[:-1]
-    return [V @ V.conj().T for V in np.split(st.unitary, cuts, axis=1)]
-
-
 def _check_structure(A: MatrixAlgebra, st: BlockStructure, cfg: NumericConfig):
     U = st.unitary
     n = st.ambient_dim

@@ -209,26 +209,25 @@ def subspace_distance(V: OperatorSubspace, W: OperatorSubspace) -> float:
     return float(r.max(initial=0.0))
 
 
-def random_matrix(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    """Ginibre matrix: iid standard complex normal entries times scale."""
+def random_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Ginibre matrix: iid standard complex normal entries."""
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * Z / np.sqrt(2.0)
+    return Z / np.sqrt(2.0)
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    Z = random_matrix(rng, n, scale)
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    Z = random_matrix(rng, n)
     return (Z + Z.conj().T) / 2.0
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    Q, R = np.linalg.qr(random_matrix(rng, n))
-    return Q * np.exp(-1j * np.angle(np.diag(R)))
+    """One Haar-distributed n x n unitary."""
+    return haar_unitaries(rng, n, 1)[0]
 
 
 def haar_unitaries(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """(count, n, n) stack of independent Haar unitaries."""
+    """(count, n, n) Haar unitaries: QR of Ginibre matrices with R's diagonal phases fixed."""
     Z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    Q, R = np.linalg.qr(Z)
+    Q, R = np.linalg.qr(Z / np.sqrt(2.0))
     phase = np.exp(-1j * np.angle(np.einsum("kii->ki", R)))
     return Q * phase[:, None, :]

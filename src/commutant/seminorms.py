@@ -61,7 +61,7 @@ import numpy as np
 
 from .algebra import MatrixAlgebra, relative_commutant
 from .blocks import BlockStructure, wedderburn
-from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig
+from .config import DEFAULT_CONFIG, InvalidInputError, NumericConfig, ResourceLimitError
 from .linalg import (
     OperatorSubspace,
     as_matrix,
@@ -84,6 +84,10 @@ _PD_SIGMA_POWER = 3
 _PD_CLOSE = 1e-10
 _PD_STALL = 3
 _PD_MAX_ITERS = 50
+# dist_opnorm refuses a (2 + 2 dim V, 2n, 2n) direction stack above this many bytes:
+# all of M_32 is 134.3 MB, and random subspaces of dimension 1000 of M_32 and 967 of
+# M_33 took 35-36 s (2 cores, one BLAS thread)
+_PD_MAX_BYTES = 135_000_000
 _ZERO_DN = 1e-8
 # rounds per ascent, polar and Newton rounds on one counter; above the Newton
 # cap the polar steps converge only linearly, and at 400 rounds a Haar-rotated
@@ -311,10 +315,13 @@ def dist_opnorm(
     first point, the report carries the projection of T as witness and
     lower_bound 0, so it is converged only when that value is itself within
     the tolerance.  cfg is accepted for a uniform signature; the path needs
-    no settings.
+    no settings.  Raises ResourceLimitError, before allocating, when the path's
+    direction stack would exceed _PD_MAX_BYTES = 1.35e8 bytes (all of M_32 fits).
     """
     A = as_matrix(T, dim=V.ambient_dim)
     n = V.ambient_dim
+    if (2 + 2 * V.dim) * (2 * n) ** 2 * 16 > _PD_MAX_BYTES:
+        raise ResourceLimitError(f"a {V.dim}-dimensional subspace of M_{n} is over the size cap")
     scale = max(1.0, op_norm(A))
     if V.dim == 0:
         val = op_norm(A)
@@ -443,17 +450,18 @@ def _polar_steps(Tt, st: BlockStructure, w, u):
     return st.polar(b[:, :, None] * w.conj()[:, None, :] - u[:, :, None] * c.conj()[:, None, :])
 
 
-def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Ub):
+def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Ub, scale: float):
     """Monotone ascent run on all restarts at once: polar steps, then Newton steps.
 
     A polar step re-aligns a restart's block unitaries with its current
     singular pair (w, u): it maximizes Re <w, F(U) u> over U exactly, so
     Re <w, F' u> >= sigma for the new commutator F'.  While a restart
-    gains at least _NEWTON_FROM max(1, ||T||) per step, the pair is not
-    recomputed by an SVD of F'; power steps started from w track it, and
-    the ascent stays monotone: u' = F'* w / ||F'* w||,
-    w' = F' u' / ||F' u'|| gives sigma' = ||F' u'|| >= ||F'* w|| >=
-    Re <w, F' u> >= sigma (a second step raises it again the same way).
+    gains at least _NEWTON_FROM scale per step (scale = max(1, ||T||),
+    from the caller), the pair is not recomputed by an SVD of F'; power
+    steps started from w track it, and the ascent stays monotone:
+    u' = F'* w / ||F'* w||, w' = F' u' / ||F' u'|| gives
+    sigma' = ||F' u'|| >= ||F'* w|| >= Re <w, F' u> >= sigma (a second
+    step raises it again the same way).
     Where F'* w = 0 (zero commutators) sigma' is 0 and the previous pair
     stays.
 
@@ -482,7 +490,7 @@ def _polar_phase_batch(Tt: np.ndarray, st: BlockStructure, Ub):
 
     # with too many directions for Newton steps the polar steps run to the end
     newton_ok = st.algebra_dim - 1 <= _NEWTON_MAX_DIRECTIONS
-    switch = _NEWTON_FROM * max(1.0, op_norm(Tt)) if newton_ok else -np.inf
+    switch = _NEWTON_FROM * scale if newton_ok else -np.inf
     R = len(Ub)
     Wl, sv, Vh = np.linalg.svd(Ub @ Tt - Tt @ Ub)
     sigma = sv[:, 0].copy()
@@ -664,7 +672,7 @@ def derivation_seminorm(
         return _report(0.0, np.eye(n, dtype=np.complex128), 0.0, 0.0, 0, scale, details)
     W = st.unitary
     Tt = W.conj().T @ Tm @ W
-    sigma, Ub, iters, caps = _polar_phase_batch(Tt, st, _restarts(model, cfg))
+    sigma, Ub, iters, caps = _polar_phase_batch(Tt, st, _restarts(model, cfg), scale)
     best = np.argsort(-sigma)[0]
     value = float(sigma[best])
     details["restart_consensus"] = int(np.sum(value - sigma <= _GAP_TOL * scale))

@@ -20,7 +20,6 @@ from commutant.blocks import (
     BlockStructure,
     _check_structure,
     block_algebra,
-    minimal_central_projections,
     twirl_expectation,
     wedderburn,
 )
@@ -90,32 +89,6 @@ def assert_recovers(A, blocks):
     _check_structure(A, st, CFG)
     # conjugated basis elements must be exactly block form: rebuild and compare
     assert subspace_equal(block_algebra(st.blocks, st.unitary).space, A.space, CFG)
-
-
-class TestCentralProjections:
-    def test_full_matrix_algebra_has_identity_only(self):
-        projs = minimal_central_projections(full_matrix_algebra(4), CFG)
-        assert len(projs) == 1
-        np.testing.assert_allclose(projs[0], np.eye(4))
-
-    def test_masa_gives_rank_one_projections(self):
-        projs = minimal_central_projections(diagonal_algebra(3), CFG)
-        assert len(projs) == 3
-        total = sum(projs)
-        np.testing.assert_allclose(total, np.eye(3), atol=1e-10)
-        for P in projs:
-            np.testing.assert_allclose(P @ P, P, atol=1e-10)
-            assert np.linalg.matrix_rank(P) == 1
-
-    def test_partition_of_identity_on_random_block_algebras(self):
-        rng = np.random.default_rng(40)
-        for blocks in [((2, 1), (1, 2)), ((2, 2),), ((1, 1), (1, 1), (2, 1))]:
-            A = random_block_star_algebra(rng, blocks)
-            projs = minimal_central_projections(A, CFG)
-            assert len(projs) == len(blocks)
-            np.testing.assert_allclose(sum(projs), np.eye(A.ambient_dim), atol=1e-8)
-            ranks = sorted(int(round(np.real(np.trace(P)))) for P in projs)
-            assert ranks == sorted(s * m for s, m in blocks)
 
 
 class TestWedderburn:

@@ -6,11 +6,17 @@ import json
 import numpy as np
 import pytest
 
-from commutant.algebra import full_matrix_algebra, generate_algebra
+from commutant import algebra as algebra_module
+from commutant.algebra import (
+    diagonal_algebra,
+    double_commutant,
+    full_matrix_algebra,
+    generate_algebra,
+)
 from commutant.cli import COMMANDS, main
 from commutant.config import StructureError
 from commutant.gallery import corner_traceless_algebra, selfcommutant_triangular
-from commutant.serialize import algebra_to_json, matrix_to_json
+from commutant.serialize import algebra_to_json, matrix_from_json, matrix_to_json
 from commutant.suites import ACCEPTANCE_TASKS
 
 
@@ -97,22 +103,49 @@ def test_commutant_center_wedderburn_shorthands(capsys):
     assert out["result"]["structure"]["blocks"] == [{"m": 1, "s": 1}] * 3
 
 
-@pytest.mark.parametrize("algebra", ["diag:3", "corner"])
-def test_expect_lands_in_bicommutant(capsys, tmp_path, algebra):
+def _expect_inputs(tmp_path, algebra):
+    """A seeded 3 x 3 T file and the algebra: diag:3, or a non-unital corner file."""
     rng = np.random.default_rng(5)
     T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     tpath = write_json(tmp_path / "t.json", matrix_to_json(T))
-    if algebra == "corner":
-        # non-unital: the compression of a Hermitian to a rank-2 corner
-        P = np.diag([1.0, 1.0, 0.0])
-        H = rng.standard_normal((3, 3))
-        A = generate_algebra([P @ (H + H.T) @ P], unital=False, star=True)
-        assert not A.unital
-        algebra = write_json(tmp_path / "a.json", algebra_to_json(A))
-    code, out = run_cli(capsys, "expect", "--t", tpath, "--algebra", algebra)
+    if algebra == "diag:3":
+        return tpath, algebra, diagonal_algebra(3)
+    # non-unital: the compression of a Hermitian to a rank-2 corner
+    P = np.diag([1.0, 1.0, 0.0])
+    H = rng.standard_normal((3, 3))
+    A = generate_algebra([P @ (H + H.T) @ P], unital=False, star=True)
+    assert not A.unital
+    return tpath, write_json(tmp_path / "a.json", algebra_to_json(A)), A
+
+
+@pytest.mark.parametrize("algebra", ["diag:3", "corner"])
+def test_expect_lands_in_bicommutant(capsys, tmp_path, algebra):
+    tpath, spec, A = _expect_inputs(tmp_path, algebra)
+    code, out = run_cli(capsys, "expect", "--t", tpath, "--algebra", spec)
     assert code == 0
-    assert out["result"]["bicommutant_residual"] <= 1e-8
+    assert set(out["result"]) == {"expectation", "moved"}
+    D = double_commutant(A, full_matrix_algebra(3))
+    assert D.space.residual(matrix_from_json(out["result"]["expectation"])) <= 1e-8
     assert out["result"]["moved"] >= 0.0
+
+
+@pytest.mark.parametrize("algebra", ["diag:3", "corner"])
+def test_expect_solves_no_commutant(capsys, monkeypatch, tmp_path, algebra):
+    # the twirl projects onto span(A ∪ {I}), which is A'' for the selfadjoint
+    # A it accepts, so nothing needs the commutant solver
+    tpath, spec, _ = _expect_inputs(tmp_path, algebra)
+    calls = []
+    real = algebra_module.relative_commutant
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "relative_commutant", counted)
+    monkeypatch.setattr("commutant.cli.relative_commutant", counted)
+    code, _ = run_cli(capsys, "expect", "--t", tpath, "--algebra", spec)
+    assert code == 0
+    assert calls == []
 
 
 def test_kn_masa_estimate_in_unit_interval(capsys):
@@ -155,6 +188,22 @@ def test_size_beyond_cap_exits_two_without_traceback(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+
+def test_distance_beyond_its_size_cap_exits_two_before_solving(capsys, monkeypatch, tmp_path):
+    # all of M_64 would need a (8194, 128, 128) complex direction stack, 2.1 GB
+    def no_solve(*args):
+        pytest.fail("the primal-dual path ran")
+
+    monkeypatch.setattr("commutant.seminorms._primal_dual_solve", no_solve)
+    T = np.random.default_rng(17).standard_normal((64, 64))
+    tpath = write_json(tmp_path / "t64.json", matrix_to_json(T))
+    code = main(["dist", "--t", tpath, "--space", "full:64"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_gen_star_of_generic_matrices_fills_and_checks_m18(capsys, tmp_path):

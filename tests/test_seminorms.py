@@ -24,7 +24,7 @@ from commutant.algebra import (
     generate_algebra,
     scalar_algebra,
 )
-from commutant.config import DEFAULT_CONFIG, InvalidInputError
+from commutant.config import DEFAULT_CONFIG, InvalidInputError, ResourceLimitError
 from commutant.linalg import (
     OperatorSubspace,
     haar_unitary,
@@ -274,6 +274,22 @@ def test_dist_dimension_mismatch():
         dist_opnorm(np.eye(3), diagonal_algebra(2).space, CFG)
 
 
+def test_dist_size_cap_admits_all_of_m32_and_refuses_m33(monkeypatch):
+    # the (2 + 2d, 2n, 2n) direction stack is 134.3 MB for M_32 and 151.9 MB
+    # for M_33; the refusal comes before the path allocates anything
+    ran = []
+
+    def stub(T, V, x0, scale):
+        ran.append(V.dim)
+        return x0, 0, 0.0
+
+    monkeypatch.setattr(seminorms, "_primal_dual_solve", stub)
+    dist_opnorm(np.eye(32), full_matrix_algebra(32).space, CFG)
+    with pytest.raises(ResourceLimitError):
+        dist_opnorm(np.eye(33), full_matrix_algebra(33).space, CFG)
+    assert ran == [1024]
+
+
 # ---------------------------------------------------------------------------
 # derivation seminorm
 
@@ -488,7 +504,7 @@ def test_seminorm_beats_haar_sampling_oracle():
             assert (dn.value - oracle) / dn.value <= 0.02
 
 
-def _svd_polar_phase_batch(Tt, st, Ub):
+def _svd_polar_phase_batch(Tt, st, Ub, scale):
     """Reference polar phase: a full SVD of every new commutator stack."""
     R = len(Ub)
     UU, sv, Vh = np.linalg.svd(Ub @ Tt - Tt @ Ub)
@@ -633,7 +649,7 @@ def test_ascent_derivatives_match_central_differences():
                 assert abs((fp - 2.0 * f0 + fm) / t**2 - curve) <= h_tol, (kind, k, l)
 
 
-def _polar_only_phase_batch(Tt, st, Ub):
+def _polar_only_phase_batch(Tt, st, Ub, scale):
     """The polar phase without Newton steps: power-tracked polar steps on
     every restart until all of them stall."""
     R = len(Ub)
@@ -662,9 +678,10 @@ def _polar_only_phase_batch(Tt, st, Ub):
 
 
 def _restart_states(model, T, cfg):
-    """T in the adapted basis and derivation_seminorm's seeded (R, n, n) restarts."""
+    """T in the adapted basis, derivation_seminorm's seeded (R, n, n) restarts
+    and its scale max(1, ||T||)."""
     W = model.structure.unitary
-    return W.conj().T @ T @ W, seminorms._restarts(model, cfg)
+    return W.conj().T @ T @ W, seminorms._restarts(model, cfg), max(1.0, op_norm(T))
 
 
 def test_value_is_the_best_restart_of_the_one_ascent(monkeypatch):
@@ -688,8 +705,8 @@ def test_value_is_the_best_restart_of_the_one_ascent(monkeypatch):
             with monkeypatch.context() as m:
                 if forced:
                     m.setattr(seminorms, "_newton_steps", _no_newton)
-                Tt, Ub = _restart_states(model, T, CFG)
-                norms = real(Tt, st, Ub)[0]
+                Tt, Ub, scale = _restart_states(model, T, CFG)
+                norms = real(Tt, st, Ub, scale)[0]
                 rep = derivation_seminorm(T, D4, M4, CFG, model, compute_upper=False)
             assert rep.value == norms.max()
             assert abs(op_norm(rep.witness @ T - T @ rep.witness) - rep.value) < 1e-10
@@ -713,14 +730,13 @@ def test_newton_finish_matches_the_polar_only_phase(monkeypatch):
             st = model.structure
             for _ in range(3):
                 T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                scale = max(1.0, op_norm(T))
-                Tt, Ub = _restart_states(model, T, CFG)
-                ref = _polar_only_phase_batch(Tt, st, Ub.copy())[0]
-                new, _, _, capped = seminorms._polar_phase_batch(Tt, st, Ub.copy())
+                Tt, Ub, scale = _restart_states(model, T, CFG)
+                ref = _polar_only_phase_batch(Tt, st, Ub.copy(), scale)[0]
+                new, _, _, capped = seminorms._polar_phase_batch(Tt, st, Ub.copy(), scale)
                 assert (new >= ref - 1e-12 * scale).all() and not capped, (kind, n)
                 with monkeypatch.context() as m:
                     m.setattr(seminorms, "_newton_steps", _no_newton)
-                    fallback = seminorms._polar_phase_batch(Tt, st, Ub.copy())[0]
+                    fallback = seminorms._polar_phase_batch(Tt, st, Ub.copy(), scale)[0]
                 # a row stops after two steps under the 1e-13 stall tolerance,
                 # where the reference steps it on while another row gains
                 assert fallback.max() >= ref.max() - 1e-9 * scale, (kind, n)
@@ -763,7 +779,7 @@ def test_newton_rounds_count_toward_the_cap(monkeypatch):
     assert max(rounds) == 3 and rep.details["polar_cap_hits"] >= 1
 
 
-def _logged_ascent(monkeypatch, Tt, st, Ub, newton=None):
+def _logged_ascent(monkeypatch, Tt, st, Ub, scale, newton=None):
     """Run _polar_phase_batch and log its step calls in order.
 
     Each _polar_steps call logs ("Q", rows), each _power_steps call
@@ -784,7 +800,7 @@ def _logged_ascent(monkeypatch, Tt, st, Ub, newton=None):
         m.setattr(seminorms, "_power_steps", logged("P", seminorms._power_steps, lambda a: a[1]))
         newton = newton or seminorms._newton_steps
         m.setattr(seminorms, "_newton_steps", logged("N", newton, lambda a: a[3][1]))
-        rounds = seminorms._polar_phase_batch(Tt, st, Ub)[2]
+        rounds = seminorms._polar_phase_batch(Tt, st, Ub, scale)[2]
     return rounds, events
 
 
@@ -805,8 +821,8 @@ def test_ascent_runs_polar_then_newton_rounds_in_lockstep(monkeypatch):
         model = commutant_model(_sweep_algebras(n, rng)[kind], full_matrix_algebra(n), CFG)
         st = model.structure
         T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        Tt, Ub = _restart_states(model, T, CFG)
-        _, events = _logged_ascent(monkeypatch, Tt, st, Ub.copy())
+        Tt, Ub, scale = _restart_states(model, T, CFG)
+        _, events = _logged_ascent(monkeypatch, Tt, st, Ub.copy(), scale)
         first = [e[0] for e in events].index("N")
         assert events[first] == ("N", CFG.opt_restarts), (n, kind)
         assert all(e[0] != "P" for e in events[first:]), (n, kind)
@@ -815,7 +831,7 @@ def test_ascent_runs_polar_then_newton_rounds_in_lockstep(monkeypatch):
         polar = [rows for tag, rows in events if tag == "P"]
         assert polar[0] == CFG.opt_restarts and len(set(polar)) > 2, (n, kind)
         # with every Newton step done at once, the Newton rounds are one call
-        rounds, events = _logged_ascent(monkeypatch, Tt, st, Ub.copy(), _done_newton)
+        rounds, events = _logged_ascent(monkeypatch, Tt, st, Ub.copy(), scale, _done_newton)
         assert [e for e in events if e[0] != "P"][-1:] == [("N", CFG.opt_restarts)], (n, kind)
         assert [e[0] for e in events].count("N") == 1
         assert rounds == len(polar) + 1, (n, kind)
